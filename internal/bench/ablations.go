@@ -104,10 +104,14 @@ func AblationBatchSubmission(cal Calibration, heads, n int) (AblationResult, err
 }
 
 // AblationReads compares totally ordered (linearizable) jstat reads
-// against local (possibly stale) reads on the same group.
+// against local (possibly stale) reads on the same group. Leases are
+// off: under a read lease the ordered read is served locally too, and
+// the ablation would time two local reads.
 func AblationReads(cal Calibration, heads, samples int) (AblationResult, error) {
 	res := AblationResult{Name: "ordered vs local reads", Variants: map[string]time.Duration{}}
-	sys, err := StartSystem(cal, heads, false)
+	opts := cal.options(heads, false)
+	opts.LeaseDuration = -1
+	sys, err := startSystem(opts)
 	if err != nil {
 		return res, err
 	}

@@ -118,10 +118,6 @@ func (cal Calibration) options(heads int, plain bool) cluster.Options {
 	}
 }
 
-func (cal Calibration) newCluster(heads int, plain bool) (*cluster.Cluster, error) {
-	return cluster.New(cal.options(heads, plain))
-}
-
 // System is one measured deployment plus a client submitting from a
 // separate login node, pinned to the highest-numbered head (the
 // paper's off-node submission path: the intercepting head is not the
@@ -136,7 +132,13 @@ type System struct {
 // StartSystem boots one configuration: plain=true is the unreplicated
 // TORQUE baseline; otherwise a JOSHUA group of the given size.
 func StartSystem(cal Calibration, heads int, plain bool) (*System, error) {
-	c, err := cal.newCluster(heads, plain)
+	return startSystem(cal.options(heads, plain))
+}
+
+// startSystem is StartSystem over explicit cluster options.
+func startSystem(opts cluster.Options) (*System, error) {
+	heads, plain := opts.Heads, opts.Plain
+	c, err := cluster.New(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -56,9 +56,10 @@ type RecoveryPoint struct {
 
 // JoinVariant is one donor-policy run of the join-while-loaded figure.
 type JoinVariant struct {
-	// Name is "forked" (off-loop donor: checkpoint image + WAL suffix
-	// streamed by a background goroutine) or "blocking" (the pre-fork
-	// donor encodes the full state on its event loop).
+	// Name is "forked" (background checkpoints) or "blocking"
+	// (checkpoints written on the event loop). Either donor serves the
+	// join off the loop: checkpoint image + WAL suffix streamed by a
+	// background goroutine.
 	Name     string        `json:"name"`
 	JoinTime time.Duration `json:"join_time_ns"`
 	// Donor-observed put latency while the join was in flight.
@@ -372,9 +373,9 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 	}
 
 	// Join while loaded: a fresh third replica joins a 2-member group
-	// whose donor keeps taking writes; the forked donor streams
-	// checkpoint+suffix off-loop, the blocking ablation encodes the
-	// full state on its event loop.
+	// whose donor keeps taking writes; both donors stream
+	// checkpoint+suffix off-loop, and they differ only in how their
+	// own checkpoints are written while the join runs.
 	for _, v := range []struct {
 		name   string
 		mutate func(*rsm.Config)

@@ -133,9 +133,10 @@ type Config struct {
 	// the pipelined write path: the WAL fsync of each event-loop round
 	// overlaps command execution, and commands on disjoint conflict
 	// domains (independent jobs) apply in parallel. Zero selects the
-	// engine default (GOMAXPROCS); rsm.ApplyOnLoop restores the strictly
-	// serial apply-then-blocking-commit path — the pre-pipeline
-	// behaviour, kept as an ablation.
+	// engine default (GOMAXPROCS); rsm.ApplyOnLoop drops the worker
+	// pool and waits for each round's commit on the event loop after
+	// the round applies — the serial apply-then-blocking-commit
+	// ablation.
 	ApplyConcurrency int
 
 	// DataDir, when set, enables the replication engine's durability
@@ -154,8 +155,8 @@ type Config struct {
 	// CheckpointEvery is the applied-command cadence between
 	// checkpoints; zero selects the engine default.
 	CheckpointEvery uint64
-	// CheckpointBlocking forces the pre-concurrent checkpoint path:
-	// serialize and fsync on the event loop. Kept as an ablation; the
+	// CheckpointBlocking writes each checkpoint (serialize and fsync)
+	// synchronously on the event loop. Kept as an ablation; the
 	// default forks the service state and checkpoints off-loop.
 	CheckpointBlocking bool
 	// CheckpointCompress enables flate (level 1) compression of

@@ -1,6 +1,7 @@
 package rsm_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -72,8 +73,8 @@ func TestOffLoopCheckpointRestart(t *testing.T) {
 	}
 }
 
-// TestBlockingCheckpointAblation pins the fallback: CheckpointBlocking
-// forces the pre-fork on-loop path even for a ForkingService, and the
+// TestBlockingCheckpointAblation pins the ablation: CheckpointBlocking
+// writes checkpoints on the loop even for a ForkingService, and the
 // result is just as durable.
 func TestBlockingCheckpointAblation(t *testing.T) {
 	durable := durableIn(t.TempDir(), func(c *rsm.Config) {
@@ -158,5 +159,70 @@ func TestJoinUsesHybridTransfer(t *testing.T) {
 	r.waitConverged(want, 10*time.Second)
 	if rst := r.reps[2].Stats(); rst.RecoveryReplayed >= 10 {
 		t.Errorf("joiner replayed %d records after restart; the transferred checkpoint was not installed", rst.RecoveryReplayed)
+	}
+}
+
+// plainService exposes only the Service methods of what it wraps, so a
+// ForkingService loses its Fork: the engine must checkpoint and
+// transfer from Snapshot bytes captured on the loop.
+type plainService struct{ rsm.Service }
+
+// TestServiceWithoutForkCheckpointsAndTransfers runs the durable paths
+// on a service without Fork: checkpoints bound restart replay, and
+// joiners are served the donor's checkpoint plus its log suffix.
+func TestServiceWithoutForkCheckpointsAndTransfers(t *testing.T) {
+	durable := durableIn(t.TempDir(), func(c *rsm.Config) {
+		c.Service = plainService{c.Service}
+		c.CheckpointEvery = 4
+		c.DeltaMaxBytes = 1 // refuse every delta: forces checkpoint+suffix
+	})
+	r := newKVRig(t, 1, durable)
+	if _, ok := interface{}(plainService{}).(rsm.ForkingService); ok {
+		t.Fatal("plainService must not implement ForkingService")
+	}
+
+	want := map[string]string{}
+	put := func(i int) {
+		req := &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpAppend, Key: fmt.Sprintf("k%d", i), Value: "v"}
+		if resp, _ := r.call(0, req, 5*time.Second); !resp.OK {
+			t.Fatalf("append %d: %+v", i, resp)
+		}
+		want[req.Key] = "v"
+	}
+	for i := 0; i < 10; i++ {
+		put(i)
+	}
+	r.waitCheckpoint(0, 5*time.Second)
+
+	r.crash(0)
+	r.restart(0, []gcs.MemberID{repMember(0)}, durable)
+	r.waitConverged(want, 5*time.Second)
+	st := r.reps[0].Stats()
+	if st.AppliedIndex != 10 || st.CheckpointIndex == 0 {
+		t.Fatalf("recovered stats = %+v, want applied index 10 over a checkpoint", st)
+	}
+	if st.RecoveryReplayed != st.AppliedIndex-st.CheckpointIndex {
+		t.Errorf("replayed %d, want applied-checkpoint = %d", st.RecoveryReplayed, st.AppliedIndex-st.CheckpointIndex)
+	}
+
+	for i := 10; i < 13; i++ {
+		put(i)
+	}
+	r.join(1, durable)
+	r.waitConverged(want, 10*time.Second)
+	r.join(2, durable)
+	r.waitConverged(want, 10*time.Second)
+
+	for _, i := range []int{1, 2} {
+		jst := r.reps[i].Stats()
+		if jst.TransferInHybrid != 1 || jst.TransferInFull != 0 || jst.TransferInDelta != 0 {
+			t.Errorf("joiner %d transfer stats = %+v, want exactly one hybrid transfer", i, jst)
+		}
+	}
+	snap := r.stores[0].Snapshot()
+	for i := 1; i < 3; i++ {
+		if got := r.stores[i].Snapshot(); !bytes.Equal(got, snap) {
+			t.Errorf("replica %d snapshot differs from replica 0 (%d vs %d bytes)", i, len(got), len(snap))
+		}
 	}
 }

@@ -182,4 +182,18 @@ func TestRejoinAfterRestartUsesDeltaTransfer(t *testing.T) {
 	if donor := r.reps[0].Stats(); donor.TransferOutDelta != 1 {
 		t.Errorf("donor stats = %+v, want one delta served", donor)
 	}
+
+	// The delta's records went into replica 1's own log: a second
+	// crash and restart recovers all 7 commands locally, and the
+	// rejoin is served an empty delta (no records, no snapshot).
+	r.crash(1)
+	r.restart(1, nil, durable)
+	r.waitConverged(want, 5*time.Second)
+	st = r.reps[1].Stats()
+	if st.RecoveryReplayed != 7 {
+		t.Errorf("second recovery replayed %d records, want 7", st.RecoveryReplayed)
+	}
+	if st.TransferInFull != 0 || st.TransferInHybrid != 0 || st.TransferReplayed != 0 {
+		t.Errorf("second rejoin stats = %+v, want no records transferred", st)
+	}
 }

@@ -74,34 +74,17 @@ func (m *Mux) ConflictKey(cmd Command) string {
 // and guarded by a CRC, in registration order. The CRC lets Restore
 // reject a corrupt or truncated section before handing it to a
 // sub-service whose decoder may not tolerate garbage.
-func (m *Mux) Snapshot() []byte {
-	e := codec.NewEncoder(256)
-	e.PutUint(uint64(len(m.names)))
-	for _, name := range m.names {
-		section := m.services[name].Snapshot()
-		e.PutString(name)
-		e.PutUint(uint64(crc32.ChecksumIEEE(section)))
-		e.PutBytes(section)
-	}
-	return e.Bytes()
-}
+func (m *Mux) Snapshot() []byte { return m.Fork()() }
 
 // Fork captures a point-in-time image of every sub-service. Services
 // implementing ForkingService contribute their own cheap fork;
 // services without the capability are snapshotted eagerly here, on
 // the caller's (event loop) goroutine — still correct, just not
-// deferred. The returned closure encodes exactly the bytes Snapshot
-// would have produced at fork time, so checkpoints and transfers are
-// byte-identical whichever path built them.
+// deferred. The returned closure encodes the format Snapshot returns.
 func (m *Mux) Fork() func() []byte {
 	parts := make([]func() []byte, len(m.names))
 	for i, name := range m.names {
-		if fs, ok := m.services[name].(ForkingService); ok {
-			parts[i] = fs.Fork()
-		} else {
-			section := m.services[name].Snapshot()
-			parts[i] = func() []byte { return section }
-		}
+		parts[i] = forkOf(m.services[name])
 	}
 	return func() []byte {
 		e := codec.NewEncoder(256)

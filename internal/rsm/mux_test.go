@@ -157,9 +157,10 @@ func TestMuxForkMatchesSnapshot(t *testing.T) {
 	m := NewMux(routeByPrefix).Register("a", fk).Register("b", plain)
 
 	want := m.Snapshot()
+	before := fk.forks
 	enc := m.Fork()
-	if fk.forks != 1 {
-		t.Fatalf("forking sub-service forked %d times, want 1", fk.forks)
+	if n := fk.forks - before; n != 1 {
+		t.Fatalf("Mux.Fork forked the forking sub-service %d times, want 1", n)
 	}
 
 	// Mutate both services after the fork.

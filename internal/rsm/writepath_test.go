@@ -278,7 +278,7 @@ func TestRecyclingSnapshotsIdentical(t *testing.T) {
 		// snapshot (the state itself is updated synchronously by
 		// applyBatch; this maximizes pool churn before comparing).
 		drainReleaser(t, r)
-		snapshots[variant] = r.encodeState()
+		snapshots[variant] = r.capture().state().encode()
 	}
 	if !bytes.Equal(snapshots[0], snapshots[1]) {
 		t.Fatalf("snapshots diverge under recycling: %d vs %d bytes",
