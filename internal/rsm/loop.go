@@ -1,0 +1,290 @@
+package rsm
+
+import (
+	"time"
+
+	"joshua/internal/codec"
+	"joshua/internal/gcs"
+	"joshua/internal/transport"
+)
+
+// run is the replica's event loop. With the read-worker pool enabled
+// the intercept goroutine owns the client endpoint and this loop
+// handles group events only, so a slow Apply never delays datagram
+// interception; under ReadOnLoop client datagrams are handled here,
+// serialized against command application (the ablation's contract).
+func (r *Replica) run() {
+	labelStage("event_loop")
+	if r.applyQ != nil {
+		// The loop is the sole sender: closing here lets the apply
+		// workers drain every queued run and exit.
+		defer close(r.applyQ)
+	}
+	events := r.group.Events()
+	var recv <-chan transport.Message // nil when intercept owns the endpoint
+	if r.readQ == nil {
+		recv = r.clientEP.Recv()
+	}
+	for {
+		select {
+		case <-r.done:
+			return
+		case e, ok := <-events:
+			if !ok {
+				return
+			}
+			r.runPipelinedRound(e, events)
+		case dg, ok := <-recv:
+			if !ok {
+				return
+			}
+			r.handleClientDatagram(dg)
+		}
+	}
+}
+
+// maxEventsPerRound bounds one commit round so a firehose of
+// deliveries cannot starve client-datagram handling under ReadOnLoop.
+const maxEventsPerRound = 256
+
+// runPipelinedRound runs one event-loop round: deliveries are
+// collected into a batch and executed through applyBatch, while
+// control events (views, state transfer) act as ordering points —
+// everything delivered before them is applied first.
+func (r *Replica) runPipelinedRound(first gcs.Event, events <-chan gcs.Event) {
+	batch := r.batchBuf[:0]
+	flush := func() {
+		r.applyBatch(batch)
+		batch = batch[:0]
+	}
+	handle := func(e gcs.Event) {
+		if ev, ok := e.(gcs.DeliverEvent); ok {
+			env := getEnvelope()
+			if err := r.decodeEnvelopeInto(env, ev.Payload); err != nil {
+				env.release()
+				r.logf("dropping malformed replicated command: %v", err)
+				r.delivHandled.Add(1)
+				return
+			}
+			batch = append(batch, env)
+			return
+		}
+		flush()
+		r.handleGroupEvent(e)
+	}
+	handle(first)
+	for i := 1; i < maxEventsPerRound; i++ {
+		select {
+		case e, ok := <-events:
+			if !ok {
+				flush()
+				r.batchBuf = batch[:0]
+				return
+			}
+			handle(e)
+		default:
+			flush()
+			r.batchBuf = batch[:0]
+			return
+		}
+	}
+	flush()
+	r.batchBuf = batch[:0]
+}
+
+// intercept drains client datagrams on a dedicated goroutine so the
+// classify/dispatch step runs concurrently with command application on
+// the event loop.
+func (r *Replica) intercept() {
+	labelStage("intercept")
+	recv := r.clientEP.Recv()
+	for {
+		select {
+		case <-r.done:
+			return
+		case dg, ok := <-recv:
+			if !ok {
+				return
+			}
+			r.handleClientDatagram(dg)
+		}
+	}
+}
+
+func (r *Replica) handleGroupEvent(e gcs.Event) {
+	switch ev := e.(type) {
+	case gcs.ViewEvent:
+		r.view = ev.View
+		r.bump(func(st *Stats) { st.Views++ })
+		r.readyOnce.Do(func() { close(r.ready) })
+		r.logf("view %d members=%v primary=%v", ev.View.ID, ev.View.Members, ev.View.Primary)
+	case gcs.SnapshotRequestEvent:
+		go r.buildTransfer(ev, r.capture())
+	case gcs.StateTransferEvent:
+		if err := r.restoreTransfer(ev.State); err != nil {
+			r.logf("state transfer failed: %v", err)
+		} else {
+			r.logf("state transfer applied (%d bytes, now at index %d)", len(ev.State), r.appliedIdx)
+		}
+		// Donor records replayed into the local log become durable
+		// through the releaser, like a round's appends.
+		if tk, maxIndex := r.commitTicket(); tk != nil {
+			now := time.Now()
+			r.dispatch(releaseBatch{tk: tk, maxIndex: maxIndex, t0: now, applyEnd: now})
+		}
+	}
+}
+
+// handleClientDatagram intercepts one client request: the cheap
+// verdict/ReqID parse runs here on the receive path (the intercept
+// goroutine, or the event loop under ReadOnLoop). Reads go to the
+// read-worker pool for response construction; if the pool is
+// saturated (or disabled by ReadOnLoop) they are served inline so
+// nothing is ever lost to a full queue. Commands — the dedup-retry
+// probe and the broadcast — are always served inline by the goroutine
+// that owns the endpoint, so one client's commands enter the total
+// order in the order they arrived.
+func (r *Replica) handleClientDatagram(dg transport.Message) {
+	cls := r.cfg.Classify(dg.Payload)
+	if cls.Verdict == Ignore {
+		return
+	}
+	r.bump(func(st *Stats) { st.Intercepted++ })
+
+	if r.readQ != nil && cls.Verdict == Reply {
+		select {
+		case r.readQ <- readTask{from: dg.From, payload: dg.Payload, cls: cls}:
+			return
+		default: // pool saturated: degrade to inline service
+		}
+	}
+	r.serveRequest(dg.From, dg.Payload, cls)
+}
+
+// readWorker serves classified datagrams off the event loop.
+func (r *Replica) readWorker() {
+	labelStage("read_worker")
+	for {
+		select {
+		case <-r.done:
+			return
+		case t := <-r.readQ:
+			r.serveRequest(t.from, t.payload, t.cls)
+		}
+	}
+}
+
+// serveRequest finishes one classified datagram. It runs on a read
+// worker, the intercept goroutine, or the event loop under ReadOnLoop,
+// so it may touch only concurrency-safe state: the sharded dedup table,
+// the group layer's view, and whatever the Respond closure guards.
+func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classification) {
+	if cls.Verdict == Reply {
+		r.bump(func(st *Stats) { st.LocalReads++ })
+		if cls.RespondEnc != nil {
+			if enc := cls.RespondEnc(payload); enc != nil {
+				r.sendAsyncEnc(from, enc)
+			}
+			return
+		}
+		resp := cls.Response
+		if cls.Respond != nil {
+			resp = cls.Respond()
+		}
+		r.sendAsync(from, resp)
+		return
+	}
+
+	// Retried request already applied? Answer from the table without
+	// re-executing (exactly-once semantics across replica failures) —
+	// but only once the command's index is covered by the durability
+	// watermark: a retry must never be acknowledged ahead of the
+	// fsync that makes the command crash-proof. A pre-durability
+	// retry falls through to the broadcast path; the copy collapses
+	// in the table and its reply is released by the normal
+	// durability-gated path.
+	if idx, hasResp, ok := r.dedup.lookup(cls.ReqID); ok {
+		if r.log == nil || idx <= r.durableIdx.Load() {
+			if hasResp {
+				// fetch copies the recorded response under the shard
+				// lock into a pooled encoder the reply path owns. A
+				// concurrent eviction between lookup and fetch just
+				// drops the answer; the client's next retry recovers.
+				if enc, _, ok2 := r.dedup.fetch(cls.ReqID); ok2 && enc != nil {
+					r.bump(func(st *Stats) { st.DedupHits++ })
+					r.sendAsyncEnc(from, enc)
+				}
+			}
+			return
+		}
+	}
+
+	if !r.group.View().Primary {
+		if r.cfg.RejectNotPrimary != nil {
+			r.sendAsync(from, r.cfg.RejectNotPrimary(cls.ReqID))
+		}
+		return
+	}
+
+	enc := codec.GetEncoder(64 + len(cls.ReqID) + len(payload))
+	encodeEnvelopeTo(enc, cls.ReqID, r.cfg.Self, from, payload)
+	err := r.group.Broadcast(enc.Bytes())
+	enc.Release() // Broadcast copies the payload before queueing
+	if err != nil {
+		if r.cfg.RejectShutdown != nil {
+			r.sendAsync(from, r.cfg.RejectShutdown(cls.ReqID))
+		}
+	}
+}
+
+// sendAsync queues one response for the replier goroutine. A full
+// queue drops the reply — the bounded-buffer backpressure policy: a
+// slow or dead client socket must never stall command application,
+// and the client's retry recovers the answer (reads re-execute, and
+// command responses are replayed from the deduplication table).
+func (r *Replica) sendAsync(to transport.Addr, payload []byte) {
+	select {
+	case r.replyQ <- reply{to: to, payload: payload}:
+	default:
+		r.bump(func(st *Stats) { st.ReplyQueueDrops++ })
+	}
+}
+
+// sendAsyncEnc queues a pooled-encoder response; the replier releases
+// the encoder after the send. A drop releases it immediately.
+func (r *Replica) sendAsyncEnc(to transport.Addr, enc *codec.Encoder) {
+	select {
+	case r.replyQ <- reply{to: to, payload: enc.Bytes(), enc: enc}:
+	default:
+		enc.Release()
+		r.bump(func(st *Stats) { st.ReplyQueueDrops++ })
+	}
+}
+
+// replier drains the reply queue onto the client endpoint.
+func (r *Replica) replier() {
+	labelStage("replier")
+	for {
+		select {
+		case <-r.done:
+			return
+		case rep := <-r.replyQ:
+			if r.clientEP.Send(rep.to, rep.payload) == nil {
+				r.bump(func(st *Stats) { st.Replied++ })
+			}
+			if rep.enc != nil {
+				rep.enc.Release()
+			}
+		}
+	}
+}
+
+// shouldReply implements the output mutual exclusion.
+func (r *Replica) shouldReply(env *envelope) bool {
+	switch r.cfg.OutputPolicy {
+	case LeaderReplies:
+		return len(r.view.Members) > 0 && r.view.Members[0] == r.cfg.Self
+	default: // OriginReplies
+		return env.Origin == r.cfg.Self
+	}
+}
