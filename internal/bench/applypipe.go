@@ -30,7 +30,7 @@ import (
 
 // ApplyPipeVariant is one measured pipeline configuration.
 type ApplyPipeVariant struct {
-	// Name is "serial" (pre-pipeline ablation, rsm.ApplyOnLoop),
+	// Name is "serial" (apply-then-blocking-commit, rsm.ApplyOnLoop),
 	// "overlap" (fsync overlapped with execution, one apply worker),
 	// or "parallel" (fsync overlap plus conflict-aware parallel
 	// apply).

@@ -71,7 +71,7 @@ type ClusterFile struct {
 	DeltaMaxBytes int64
 	// ApplyConcurrency sizes each head's apply-worker pool
 	// ("apply_concurrency" under [options]; 0 = engine default, any
-	// negative value = the serial pre-pipeline ablation).
+	// negative value = the serial apply-then-blocking-commit ablation).
 	ApplyConcurrency int
 	// LeaseDuration is the sequencer-granted read-lease length
 	// ("lease_duration", globally or under [options], a Go duration
