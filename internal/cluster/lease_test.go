@@ -263,3 +263,76 @@ func TestLeasedReadsNeverRegressBelowAckedMutation(t *testing.T) {
 	}
 	t.Logf("%d leased reads, %d fallbacks across %d submissions", reads, fallbacks, submissions)
 }
+
+// TestLeasedReadsUnderWriteLoad is the read-index half of the lease
+// contract: while one client streams submits through head 0, another
+// issues ordered stats of the newest acked job through heads 1 and 2.
+// Every read must see that job, and the reads must stay leased — a
+// head whose apply trails the write stream parks the read until it
+// catches up instead of broadcasting it, so fallbacks stay rare.
+func TestLeasedReadsUnderWriteLoad(t *testing.T) {
+	opts := testOptions(3, 1)
+	opts.ClientTimeout = 50 * time.Millisecond
+	c := newCluster(t, opts)
+
+	submitCli, err := c.ClientFor(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readCli, err := c.ClientFor(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "all heads holding a lease", func() bool {
+		_, _, _, held := leaseStats(c)
+		return held == len(c.LiveHeads())
+	})
+
+	var newest atomic.Value // pbs.JobID of the newest acked submit
+	stop := make(chan struct{})
+	submitDone := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				submitDone <- nil
+				return
+			default:
+			}
+			j, err := submitCli.Submit(pbs.SubmitRequest{Name: "load", Hold: true})
+			if err != nil {
+				submitDone <- fmt.Errorf("submit: %w", err)
+				return
+			}
+			newest.Store(j.ID)
+		}
+	}()
+	waitFor(t, 5*time.Second, "a first acked submit", func() bool { return newest.Load() != nil })
+
+	reads0, fallbacks0, _, _ := leaseStats(c)
+	const orderedReads = 200
+	for i := 0; i < orderedReads; i++ {
+		id := newest.Load().(pbs.JobID)
+		j, err := readCli.StatOrdered(id)
+		if err != nil {
+			t.Fatalf("ordered stat %d of %s: %v", i, id, err)
+		}
+		if j.ID != id {
+			t.Fatalf("ordered stat %d of acked job %s returned %q", i, id, j.ID)
+		}
+	}
+	close(stop)
+	if err := <-submitDone; err != nil {
+		t.Fatal(err)
+	}
+
+	reads1, fallbacks1, _, _ := leaseStats(c)
+	reads, fallbacks := reads1-reads0, fallbacks1-fallbacks0
+	t.Logf("%d ordered reads: %d leased, %d fallbacks", orderedReads, reads, fallbacks)
+	if fallbacks*10 > orderedReads {
+		t.Errorf("%d of %d ordered reads fell back to the broadcast under write load, want at most 10%%", fallbacks, orderedReads)
+	}
+	if reads == 0 {
+		t.Error("no leased reads served under write load")
+	}
+}

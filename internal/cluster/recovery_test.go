@@ -242,11 +242,13 @@ func TestRecoveryAfterTornCheckpointTmp(t *testing.T) {
 		t.Fatalf("pre-crash acquire = %v, %v", granted, err)
 	}
 
-	// Wait until head 1's background checkpointer has committed a
-	// durable generation and gone idle.
-	waitFor(t, 15*time.Second, "head 1 background checkpoint durable", func() bool {
+	// Wait until head 1 has applied everything head 0 has and its
+	// background checkpointer has committed a durable generation and
+	// gone idle; pre must describe the full log the crash leaves.
+	waitFor(t, 15*time.Second, "head 1 caught up with a durable background checkpoint", func() bool {
 		st := c.Head(1).Replica().Stats()
-		return st.CheckpointIndex > 0 && !st.CkptInflight
+		return st.CheckpointIndex > 0 && !st.CkptInflight &&
+			st.AppliedIndex == c.Head(0).Replica().Stats().AppliedIndex
 	})
 	pre := c.Head(1).Replica().Stats()
 

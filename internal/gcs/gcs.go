@@ -239,7 +239,7 @@ type Config struct {
 	// sequencer grants to view members (piggybacked on heartbeat and
 	// BATCH frames). A member holding a live lease may serve
 	// linearizable reads locally without a broadcast; see
-	// LeasedReadOK. Grants are issued only while SafeDelivery is on
+	// LeasedReadIndex. Grants are issued only while SafeDelivery is on
 	// (an acked message is then guaranteed received at every lease
 	// holder) and only in a primary view; they cease the moment a
 	// flush begins, and holders revoke synchronously when they enter
@@ -344,16 +344,15 @@ type Process struct {
 	stats    Stats // guarded by viewMu
 
 	// Read-lease state, written by the loop goroutine and read by
-	// application read paths (LeaseValid/LeasedReadOK):
+	// application read paths (LeaseValid/LeasedReadIndex):
 	// leaseExp is the UnixNano expiry of the current lease (0 = none);
-	// caughtUp is republished every event-loop round and reports
-	// whether this member has delivered every sequence it knows was
-	// assigned in the current view; delivCount counts DeliverEvents
-	// pushed, so the application can tell when it has consumed them
-	// all.
+	// delivCount counts DeliverEvents pushed; readIdx is the
+	// delivCount value that covers every sequence this member knows
+	// was assigned (noReadIndex outside normal status), republished
+	// before any receipt ack leaves (see publishReadIndex).
 	leaseExp   atomic.Int64
-	caughtUp   atomic.Bool
 	delivCount atomic.Uint64
+	readIdx    atomic.Uint64
 
 	// --- everything below is owned by the run loop goroutine ---
 
@@ -478,6 +477,7 @@ func Start(cfg Config) (*Process, error) {
 		recvAcked: make(map[MemberID]uint64),
 		flushMiss: make(map[MemberID]int),
 	}
+	p.readIdx.Store(noReadIndex)
 
 	switch {
 	case len(cfg.InitialMembers) > 0:
@@ -611,22 +611,44 @@ func (p *Process) LeaseValid() bool {
 	return exp != 0 && time.Now().UnixNano() < exp
 }
 
-// LeasedReadOK reports whether a linearizable local read may be
-// served right now: the lease is live and this member has delivered
-// every sequence it knows was assigned. The second condition matters
-// because safe delivery guarantees an acked message was *received*
-// everywhere, not yet delivered; a holder with a received-but-
-// undelivered suffix must fall back to the broadcast path. The
-// application must additionally have consumed every pushed delivery
-// (see DeliveredCount) before its state is current. Safe from any
-// goroutine.
-func (p *Process) LeasedReadOK() bool {
-	return p.caughtUp.Load() && p.LeaseValid()
+// noReadIndex is the published read index outside normal status: no
+// delivery count reaches it.
+const noReadIndex = ^uint64(0)
+
+// LeasedReadIndex returns the read index for a linearizable local
+// read, and false when no live lease backs one. The index is the
+// number of DeliverEvents this member will have pushed once it has
+// delivered every sequence it knew was assigned when the index was
+// published. Safe delivery guarantees a message acked to a client was
+// *received* by every lease holder first, and the index is published
+// before this member acknowledges a receipt, so once the application
+// has consumed that many deliveries its state covers every
+// acknowledged command (Raft's ReadIndex). Safe from any goroutine.
+func (p *Process) LeasedReadIndex() (uint64, bool) {
+	idx := p.readIdx.Load()
+	if idx == noReadIndex || !p.LeaseValid() {
+		return 0, false
+	}
+	return idx, true
 }
 
-// DeliveredCount returns the cumulative number of DeliverEvents
-// pushed to the event stream. Safe from any goroutine.
-func (p *Process) DeliveredCount() uint64 { return p.delivCount.Load() }
+// publishReadIndex republishes the leased-read index: everything
+// delivered plus every sequence known assigned but not yet delivered
+// in this view (tailSeq covers every received sequence and every
+// heartbeat advertisement). Loop goroutine only; it runs before any
+// receipt ack is sent, so the index never lags a receipt the
+// sequencer may already count toward safe delivery.
+func (p *Process) publishReadIndex() {
+	if p.st != statusNormal {
+		p.readIdx.Store(noReadIndex)
+		return
+	}
+	idx := p.delivCount.Load()
+	if p.tailSeq >= p.nextDeliver {
+		idx += p.tailSeq - p.nextDeliver + 1
+	}
+	p.readIdx.Store(idx)
+}
 
 // Broadcast submits a payload for totally ordered delivery to the
 // group (including this member). It blocks while the send window is
@@ -703,7 +725,7 @@ func (p *Process) run() {
 	defer func() {
 		p.st = statusClosed
 		p.leaseExp.Store(0)
-		p.caughtUp.Store(false)
+		p.readIdx.Store(noReadIndex)
 		p.ep.Close()
 		p.events.close()
 	}()
@@ -772,18 +794,16 @@ func (p *Process) drainInputs() {
 // point is what turns the opportunistic input drain into wire-level
 // batching and ack coalescing.
 func (p *Process) flushRound() {
+	// The read index goes out first: the REQBATCH piggyback and the
+	// ACK below both acknowledge this round's receipts.
+	p.publishReadIndex()
 	if p.st == statusClosed {
-		p.caughtUp.Store(false)
 		return
 	}
 	p.flushOutData()
 	p.flushReqOut()
 	p.flushSafe()
 	p.flushAck()
-	// Republish the leased-read catch-up gate: delivered everything we
-	// know was assigned in this view (tailSeq covers every received
-	// sequence and every heartbeat advertisement).
-	p.caughtUp.Store(p.st == statusNormal && p.nextDeliver > p.tailSeq)
 }
 
 // flushOutData multicasts the messages sequenced this round, packing
@@ -1225,6 +1245,7 @@ func (p *Process) scheduleAck() {
 // (safe delivery: the sequencer aggregates these into the safe
 // watermark). It satisfies any coalesced ack still pending.
 func (p *Process) sendAckNow() {
+	p.publishReadIndex()
 	p.ackPending = false
 	m := &message{
 		Kind:      kindAck,

@@ -160,3 +160,41 @@ func TestSafeSlowerThanAgreed(t *testing.T) {
 		t.Errorf("safe (%v) should be slower than agreed (%v)", safe, agreed)
 	}
 }
+
+// TestLeasedReadIndexCoversReceivedSuffix pins the read index: a
+// message this member has received but may not deliver yet (one member
+// is cut off from the sequencer, so the safe watermark cannot pass it)
+// already counts, so a leased read waits for it instead of being served
+// from state that misses a command the sequencer may acknowledge.
+func TestLeasedReadIndexCoversReceivedSuffix(t *testing.T) {
+	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
+	defer net.Close()
+	obs := group(t, net, 3, func(i int, c *Config) {
+		c.SafeDelivery = true
+		c.FailTimeout = 2 * time.Second // no suspicion while host2 is cut off
+	})
+	m1 := obs[1]
+	delivered := func() uint64 { return uint64(len(m1.deliveredPayloads())) }
+	waitFor(t, 5*time.Second, "m1 holding a lease on an idle group", func() bool {
+		idx, ok := m1.p.LeasedReadIndex()
+		return ok && idx == delivered()
+	})
+
+	net.Partition("host0", "host2")
+	before := delivered()
+	if err := m1.p.Broadcast([]byte("stuck")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, time.Second, "m1 counting the received message", func() bool {
+		idx, ok := m1.p.LeasedReadIndex()
+		return ok && idx == before+1
+	})
+	if got := delivered(); got != before {
+		t.Fatalf("delivered %d -> %d past the safe watermark", before, got)
+	}
+
+	net.Heal("host0", "host2")
+	waitFor(t, 5*time.Second, "the message delivered once host2 acks", func() bool {
+		return delivered() == before+1
+	})
+}

@@ -102,7 +102,7 @@ type message struct {
 	// kindHeartbeat, kindBatch: a read-lease grant from the sequencer
 	// (zero = no grant). The receiving member may serve leased local
 	// reads for this long after receipt, minus the safety margin; see
-	// Process.LeasedReadOK.
+	// Process.LeasedReadIndex.
 	LeaseDur time.Duration
 }
 

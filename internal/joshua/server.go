@@ -339,14 +339,18 @@ func (s *Server) classify(payload []byte) rsm.Classification {
 		if !ordered {
 			return rsm.Classification{Verdict: rsm.Reply, RespondEnc: s.serveReadFn}
 		}
-		// Ordered read under a live lease: serve it locally. The lease
-		// gates pass at this instant — that is the read's linearization
-		// point — so the response may be built later on a read worker
-		// even if the lease is revoked in between. No lease (or any
-		// gate failing) falls through to the broadcast path below,
-		// exactly as ordered reads worked before leases existed.
-		if rep := s.rep.Load(); rep != nil && rep.TryLeasedRead() {
-			return rsm.Classification{Verdict: rsm.Reply, RespondEnc: s.serveReadFn}
+		// Ordered read under a live lease: serve it locally, now if
+		// this head has applied everything up to the read index, or
+		// parked on the replica's event loop until it has. No lease
+		// falls through to the broadcast path below, exactly as
+		// ordered reads worked before leases existed.
+		if rep := s.rep.Load(); rep != nil {
+			switch v, index := rep.TryLeasedRead(); v {
+			case rsm.Reply:
+				return rsm.Classification{Verdict: rsm.Reply, RespondEnc: s.serveReadFn}
+			case rsm.Park:
+				return rsm.Classification{Verdict: rsm.Park, ReqID: string(reqID), ReadIndex: index, RespondEnc: s.serveReadFn}
+			}
 		}
 	}
 	return rsm.Classification{Verdict: rsm.Replicate, ReqID: string(reqID)}
@@ -469,9 +473,10 @@ func (s *Server) serveRead(payload []byte) *codec.Encoder {
 		}
 		fallthrough
 	case OpStat:
-		// StatusView skips the defensive per-job clone: the job is
-		// only encoded here, never mutated.
-		j, err := s.daemon.StatusView(req.Args.JobID)
+		// StatusView reports the version the job was read at, so the
+		// epoch cannot understate what the reply shows.
+		j, epoch, err := s.daemon.StatusView(req.Args.JobID)
+		resp.Epoch = epoch
 		if err != nil {
 			resp.OK = false
 			resp.ErrMsg = err.Error()

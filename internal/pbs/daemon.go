@@ -156,10 +156,9 @@ func (d *Daemon) FlushActions() { d.flush() }
 // Status runs qstat for one job.
 func (d *Daemon) Status(id JobID) (Job, error) { return d.srv.Status(id) }
 
-// StatusView is the clone-free variant of Status (see
-// Server.StatusView): the returned job aliases the shared immutable
-// snapshot and must be treated as read-only.
-func (d *Daemon) StatusView(id JobID) (Job, error) { return d.srv.StatusView(id) }
+// StatusView runs qstat for one job against the live table and
+// reports the version it was read at (see Server.StatusView).
+func (d *Daemon) StatusView(id JobID) (Job, uint64, error) { return d.srv.StatusView(id) }
 
 // StatusAll runs qstat for all jobs.
 func (d *Daemon) StatusAll() []Job { return d.srv.StatusAll() }

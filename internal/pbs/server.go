@@ -463,18 +463,18 @@ func (s *Server) Status(id JobID) (Job, error) {
 	return snap.jobs[i].clone(), nil
 }
 
-// StatusView returns one job straight from the shared immutable
-// snapshot, without the defensive clone Status makes — the single-job
-// analogue of StatusAll, for callers that only read or encode the
-// job. The job (including its Nodes slice) must be treated as
-// read-only.
-func (s *Server) StatusView(id JobID) (Job, error) {
-	snap := s.statusSnapshot()
-	i, ok := snap.index[id]
+// StatusView returns a copy of one job looked up in the live table
+// under the read lock, together with the version it was read at. It
+// never rebuilds the O(queue) status snapshot, so a single-job read
+// costs the same on a deep queue under churn as on an idle one.
+func (s *Server) StatusView(id JobID) (Job, uint64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	j, ok := s.jobs[id]
 	if !ok {
-		return Job{}, errUnknownJob("qstat", id)
+		return Job{}, s.version.Load(), errUnknownJob("qstat", id)
 	}
-	return snap.jobs[i], nil
+	return j.clone(), s.version.Load(), nil
 }
 
 // StatusAll returns every known job in submission order, completed

@@ -34,13 +34,65 @@ func (r *Replica) run() {
 				return
 			}
 			r.runPipelinedRound(e, events)
+		case t := <-r.parkQ:
+			r.parked = append(r.parked, t)
 		case dg, ok := <-recv:
 			if !ok {
 				return
 			}
 			r.handleClientDatagram(dg)
 		}
+		r.serveParked()
 	}
+}
+
+// serveParked settles the parked reads at a round boundary. If the
+// lease has lapsed every one of them goes back to the intercept
+// goroutine for the broadcast; otherwise each read whose index local
+// apply has reached is answered here. Its reply joins the releaser's
+// FIFO as a batch of its own, behind every earlier round's durability
+// ticket, so it never exposes state the log could still lose.
+func (r *Replica) serveParked() {
+	if len(r.parked) == 0 {
+		return
+	}
+	if !r.group.LeaseValid() {
+		r.unparkAll()
+		return
+	}
+	handled := r.delivHandled.Load()
+	waiting := r.parked[:0]
+	var replies []reply
+	for _, t := range r.parked {
+		if handled < t.cls.ReadIndex {
+			waiting = append(waiting, t)
+			continue
+		}
+		r.leaseReads.Add(1)
+		if rep, ok := readReply(t.from, t.payload, t.cls); ok {
+			if replies == nil {
+				replies = r.takeReplySlice()
+			}
+			replies = append(replies, rep)
+		}
+	}
+	clear(r.parked[len(waiting):])
+	r.parked = waiting
+	r.dispatch(releaseBatch{replies: replies})
+}
+
+// unparkAll hands every parked read to the intercept goroutine, which
+// broadcasts it: the loop itself never blocks in Broadcast.
+func (r *Replica) unparkAll() {
+	for i, t := range r.parked {
+		r.leaseFallbacks.Add(1)
+		select {
+		case r.unparkQ <- t:
+		case <-r.done:
+		}
+		r.parked[i] = readTask{}
+	}
+	r.parked = r.parked[:0]
 }
 
 // maxEventsPerRound bounds one commit round so a firehose of
@@ -107,6 +159,8 @@ func (r *Replica) intercept() {
 				return
 			}
 			r.handleClientDatagram(dg)
+		case t := <-r.unparkQ:
+			r.serveRequest(t.from, t.payload, t.cls)
 		}
 	}
 }
@@ -114,6 +168,12 @@ func (r *Replica) intercept() {
 func (r *Replica) handleGroupEvent(e gcs.Event) {
 	switch ev := e.(type) {
 	case gcs.ViewEvent:
+		// Installing a view revoked the lease every parked read was
+		// classified under, even if the new sequencer has granted a
+		// fresh one already; an old-view read index may count
+		// sequences the flush never delivered, so waiting on it could
+		// stall an idle head.
+		r.unparkAll()
 		r.view = ev.View
 		r.bump(func(st *Stats) { st.Views++ })
 		r.readyOnce.Do(func() { close(r.ready) })
@@ -140,10 +200,12 @@ func (r *Replica) handleGroupEvent(e gcs.Event) {
 // goroutine, or the event loop under ReadOnLoop). Reads go to the
 // read-worker pool for response construction; if the pool is
 // saturated (or disabled by ReadOnLoop) they are served inline so
-// nothing is ever lost to a full queue. Commands — the dedup-retry
-// probe and the broadcast — are always served inline by the goroutine
-// that owns the endpoint, so one client's commands enter the total
-// order in the order they arrived.
+// nothing is ever lost to a full queue. Parked reads go to the event
+// loop; if its queue is full (or under ReadOnLoop) they are broadcast
+// instead. Commands — the dedup-retry probe and the broadcast — are
+// always served inline by the goroutine that owns the endpoint, so
+// one client's commands enter the total order in the order they
+// arrived.
 func (r *Replica) handleClientDatagram(dg transport.Message) {
 	cls := r.cfg.Classify(dg.Payload)
 	if cls.Verdict == Ignore {
@@ -151,11 +213,20 @@ func (r *Replica) handleClientDatagram(dg transport.Message) {
 	}
 	r.bump(func(st *Stats) { st.Intercepted++ })
 
-	if r.readQ != nil && cls.Verdict == Reply {
+	t := readTask{from: dg.From, payload: dg.Payload, cls: cls}
+	switch {
+	case r.readQ != nil && cls.Verdict == Reply:
 		select {
-		case r.readQ <- readTask{from: dg.From, payload: dg.Payload, cls: cls}:
+		case r.readQ <- t:
 			return
 		default: // pool saturated: degrade to inline service
+		}
+	case cls.Verdict == Park:
+		select {
+		case r.parkQ <- t: // nil under ReadOnLoop: never ready
+			return
+		default:
+			r.leaseFallbacks.Add(1)
 		}
 	}
 	r.serveRequest(dg.From, dg.Payload, cls)
@@ -181,17 +252,9 @@ func (r *Replica) readWorker() {
 func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classification) {
 	if cls.Verdict == Reply {
 		r.bump(func(st *Stats) { st.LocalReads++ })
-		if cls.RespondEnc != nil {
-			if enc := cls.RespondEnc(payload); enc != nil {
-				r.sendAsyncEnc(from, enc)
-			}
-			return
+		if rep, ok := readReply(from, payload, cls); ok {
+			r.sendAsync(rep)
 		}
-		resp := cls.Response
-		if cls.Respond != nil {
-			resp = cls.Respond()
-		}
-		r.sendAsync(from, resp)
 		return
 	}
 
@@ -212,7 +275,7 @@ func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classifi
 				// drops the answer; the client's next retry recovers.
 				if enc, _, ok2 := r.dedup.fetch(cls.ReqID); ok2 && enc != nil {
 					r.bump(func(st *Stats) { st.DedupHits++ })
-					r.sendAsyncEnc(from, enc)
+					r.sendAsync(reply{to: from, payload: enc.Bytes(), enc: enc})
 				}
 			}
 			return
@@ -221,7 +284,7 @@ func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classifi
 
 	if !r.group.View().Primary {
 		if r.cfg.RejectNotPrimary != nil {
-			r.sendAsync(from, r.cfg.RejectNotPrimary(cls.ReqID))
+			r.sendAsync(reply{to: from, payload: r.cfg.RejectNotPrimary(cls.ReqID)})
 		}
 		return
 	}
@@ -232,31 +295,42 @@ func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classifi
 	enc.Release() // Broadcast copies the payload before queueing
 	if err != nil {
 		if r.cfg.RejectShutdown != nil {
-			r.sendAsync(from, r.cfg.RejectShutdown(cls.ReqID))
+			r.sendAsync(reply{to: from, payload: r.cfg.RejectShutdown(cls.ReqID)})
 		}
 	}
 }
 
-// sendAsync queues one response for the replier goroutine. A full
-// queue drops the reply — the bounded-buffer backpressure policy: a
-// slow or dead client socket must never stall command application,
-// and the client's retry recovers the answer (reads re-execute, and
-// command responses are replayed from the deduplication table).
-func (r *Replica) sendAsync(to transport.Addr, payload []byte) {
-	select {
-	case r.replyQ <- reply{to: to, payload: payload}:
-	default:
-		r.bump(func(st *Stats) { st.ReplyQueueDrops++ })
+// readReply builds the response for a read-classified datagram; false
+// when the responder produced nothing.
+func readReply(to transport.Addr, payload []byte, cls Classification) (reply, bool) {
+	if cls.RespondEnc != nil {
+		enc := cls.RespondEnc(payload)
+		if enc == nil {
+			return reply{}, false
+		}
+		return reply{to: to, payload: enc.Bytes(), enc: enc}, true
 	}
+	resp := cls.Response
+	if cls.Respond != nil {
+		resp = cls.Respond()
+	}
+	return reply{to: to, payload: resp}, true
 }
 
-// sendAsyncEnc queues a pooled-encoder response; the replier releases
-// the encoder after the send. A drop releases it immediately.
-func (r *Replica) sendAsyncEnc(to transport.Addr, enc *codec.Encoder) {
+// sendAsync queues one response for the replier goroutine, which
+// releases a pooled encoder after the send. A full queue drops the
+// reply (releasing its encoder) — the bounded-buffer backpressure
+// policy: a slow or dead client socket must never stall command
+// application, and the client's retry recovers the answer (reads
+// re-execute, and command responses are replayed from the
+// deduplication table).
+func (r *Replica) sendAsync(rep reply) {
 	select {
-	case r.replyQ <- reply{to: to, payload: enc.Bytes(), enc: enc}:
+	case r.replyQ <- rep:
 	default:
-		enc.Release()
+		if rep.enc != nil {
+			rep.enc.Release()
+		}
 		r.bump(func(st *Stats) { st.ReplyQueueDrops++ })
 	}
 }

@@ -324,11 +324,7 @@ func (r *Replica) releaser() {
 				r.awaitDurable(b.tk, b.maxIndex, b.t0, b.applyEnd)
 			}
 			for _, rep := range b.replies {
-				if rep.enc != nil {
-					r.sendAsyncEnc(rep.to, rep.enc)
-				} else {
-					r.sendAsync(rep.to, rep.payload)
-				}
+				r.sendAsync(rep)
 			}
 			// The round is fully released: durability resolved and
 			// replies queued. Drop the pipeline's envelope references

@@ -16,7 +16,10 @@
 //     against a concurrency-safe service view, and every response
 //     leaves through a bounded asynchronous reply queue so a slow
 //     client socket never stalls command application. ReadOnLoop
-//     serves them on the event loop instead.
+//     serves them on the event loop instead. A leased ordered read
+//     whose read index local apply has not reached yet is parked on
+//     the event loop and answered at the first round boundary that
+//     reaches it (TryLeasedRead).
 //   - Writes. Each event-loop round appends its commands to the
 //     write-ahead log, issues the group-commit fsync asynchronously
 //     (wal.CommitTicket), then executes the round's batch while the
@@ -161,6 +164,12 @@ const (
 	// Replicate pushes the datagram through the total order; every
 	// replica applies it and the output-mutex winner answers.
 	Replicate
+	// Park holds a leased ordered read on the event loop until local
+	// apply reaches its ReadIndex, then answers it like Reply behind
+	// every earlier round's durability; if the lease is lost first,
+	// the read is broadcast like Replicate (ReqID required). See
+	// TryLeasedRead.
+	Park
 )
 
 // Classification is the Classifier's decision for one datagram.
@@ -186,6 +195,9 @@ type Classification struct {
 	// Same concurrency contract as Respond; takes precedence over both
 	// Respond and Response.
 	RespondEnc func(payload []byte) *codec.Encoder
+	// ReadIndex is a Park read's target: the delivery count local
+	// apply must reach before the read is served.
+	ReadIndex uint64
 }
 
 // Classifier inspects one inbound client datagram and returns the
@@ -429,7 +441,8 @@ type Stats struct {
 	AllocsPerCmd   float64 // process mallocs since Start per applied command
 }
 
-// readTask is one classified client datagram handed to a read worker.
+// readTask is one classified client datagram handed to a read worker,
+// or a parked read handed to or from the event loop.
 type readTask struct {
 	from    transport.Addr
 	payload []byte
@@ -487,6 +500,13 @@ type Replica struct {
 
 	// readQ feeds the read-worker pool; nil under ReadOnLoop.
 	readQ chan readTask
+	// parkQ hands Park reads from the intercept goroutine to the event
+	// loop, and unparkQ hands the ones whose lease lapsed back to it
+	// for the broadcast; both nil under ReadOnLoop, which broadcasts a
+	// Park read at once. Both are sized like readQ: they absorb the
+	// same bursts of reads while the loop is busy applying a round.
+	parkQ   chan readTask
+	unparkQ chan readTask
 	// replyQ carries every outbound client response; a dedicated
 	// replier goroutine drains it so no protocol goroutine ever blocks
 	// in clientEP.Send.
@@ -522,9 +542,8 @@ type Replica struct {
 	// never passes while applied state outruns the fsync watermark.
 	appliedPub atomic.Uint64
 	// delivHandled counts group deliveries this replica has finished
-	// applying; compared against the group layer's DeliveredCount so
-	// a leased read never runs while deliveries sit in the event
-	// queue.
+	// applying; compared against the group layer's read index so a
+	// leased read never runs ahead of a delivery it must observe.
 	delivHandled atomic.Uint64
 	// Leased-read outcome counters (TryLeasedRead).
 	leaseReads     atomic.Uint64
@@ -532,6 +551,9 @@ type Replica struct {
 
 	// --- owned by the run loop ---
 	view gcs.View
+	// parked holds Park reads whose read index local apply has not
+	// reached yet.
+	parked []readTask
 	// originIntern / clientIntern canonicalize the member IDs and
 	// client addresses decoded out of envelopes (see internTable).
 	originIntern internTable
@@ -699,6 +721,8 @@ func Start(cfg Config) (*Replica, error) {
 	go r.replier()
 	if cfg.ReadConcurrency > 0 {
 		r.readQ = make(chan readTask, cfg.ReadQueueLen)
+		r.parkQ = make(chan readTask, cfg.ReadQueueLen)
+		r.unparkQ = make(chan readTask, cfg.ReadQueueLen)
 		for i := 0; i < cfg.ReadConcurrency; i++ {
 			go r.readWorker()
 		}
@@ -729,43 +753,42 @@ func (r *Replica) View() gcs.View { return r.group.View() }
 // GroupStats returns the group communication layer's counters.
 func (r *Replica) GroupStats() gcs.Stats { return r.group.Stats() }
 
-// TryLeasedRead reports whether an ordered (linearizable) read may be
-// served from local state right now, counting the outcome either way.
-// It holds when four gates pass together:
+// TryLeasedRead decides how an ordered (linearizable) read is served,
+// returning Reply, Park or Replicate (Raft's ReadIndex, served under
+// a sequencer-granted lease):
 //
-//  1. The group layer holds a live read lease from the sequencer and
-//     is caught up — it has delivered everything it knows was
-//     assigned a sequence (gcs.Process.LeasedReadOK). Leases are only
-//     granted under safe delivery, so any command a client has been
-//     acknowledged for was received here before the ack; the caught-up
-//     gate then turns "received" into "delivered".
-//  2. This replica has finished applying every delivery the group
-//     layer pushed at it (delivHandled vs DeliveredCount) — the
-//     event-queue and apply-stage lag.
-//  3. When a WAL is attached, applied state is covered by the fsync
-//     watermark (durableIdx vs appliedPub, which publishes *before*
-//     execution, conservatively), so a leased read never observes
-//     state a crash could still lose.
+//   - Replicate: the group layer holds no live read lease
+//     (gcs.Process.LeasedReadIndex). The caller broadcasts the read
+//     through the total order exactly as before leases existed.
+//   - Reply: the lease is live, this replica has applied every
+//     delivery up to the read index (delivHandled), and, with a WAL,
+//     applied state is covered by the fsync watermark (durableIdx vs
+//     appliedPub, which publishes *before* execution). The read may
+//     be served locally now, on a read worker.
+//   - Park: the lease is live but apply or durability trails. The
+//     returned index is the read's target; the Park classification
+//     waits on the event loop until delivHandled reaches it (see
+//     serveParked).
 //
-// The load order is chosen so every race resolves conservatively
-// (toward fallback): the lease/caught-up check first, then the
-// handled count before the delivered count, then the durability
-// watermark before the published applied index. The decision is made
-// at classification time; that instant is the read's linearization
-// point, so a lease revoked before the response is built does not
-// matter — the read is serialized where the gates held.
-//
-// A false return is the automatic fallback: the caller broadcasts the
-// read through the total order exactly as before leases existed.
-func (r *Replica) TryLeasedRead() bool {
-	if r.group.LeasedReadOK() &&
-		r.delivHandled.Load() >= r.group.DeliveredCount() &&
+// Leases are only granted under safe delivery, and the read index is
+// published before the member acknowledges a receipt, so any command
+// a client was acknowledged for before the read arrived lies at or
+// below the index. The load order resolves every race toward waiting:
+// the index first, then the handled count, then the durability
+// watermark before the published applied index. Reply and Replicate
+// are counted here; a parked read is counted where it ends.
+func (r *Replica) TryLeasedRead() (Verdict, uint64) {
+	target, ok := r.group.LeasedReadIndex()
+	if !ok {
+		r.leaseFallbacks.Add(1)
+		return Replicate, 0
+	}
+	if r.delivHandled.Load() >= target &&
 		(r.log == nil || r.durableIdx.Load() >= r.appliedPub.Load()) {
 		r.leaseReads.Add(1)
-		return true
+		return Reply, 0
 	}
-	r.leaseFallbacks.Add(1)
-	return false
+	return Park, target
 }
 
 // Stats returns a snapshot of the replica counters.
