@@ -15,13 +15,13 @@
 //	jbench -fig checkpoint     # off-loop vs blocking checkpoint tail latency
 //	jbench -fig all            # everything
 //
-// -json writes the selected figure's results (readpath, wal,
-// applypipe, shards, leases, writepath, or sched) to a machine-readable file
-// (the CI benchmark artifact). Every file carries a "meta" object
-// recording the run environment: GOMAXPROCS, the Go toolchain
-// version, the git commit, the model scale, and the topology the
-// figure ran on (head count, shard count, apply concurrency) — enough
-// to tell two artifacts apart and to compare like with like.
+// -json writes the selected figures' results to a machine-readable
+// file (the CI benchmark artifact), each under its figure's key. Every
+// file carries a "meta" object recording the run environment:
+// GOMAXPROCS, the Go toolchain version, the git commit, the model
+// scale, and the topology the figures ran on (head count, shard count,
+// apply concurrency) — enough to tell two artifacts apart and to
+// compare like with like.
 //
 // -scale selects the latency-model scale (1.0 = paper-scale
 // milliseconds; smaller runs proportionally faster). Shapes, not
@@ -50,9 +50,10 @@ import (
 )
 
 // runMeta identifies the environment and topology a benchmark
-// artifact came from. Heads and Shards describe the figure's cluster
-// (for sweeps, the largest configuration measured); ApplyConcurrency
-// is the replica-side parallel-apply width, which follows GOMAXPROCS.
+// artifact came from. Heads and Shards describe the figures' clusters
+// (for sweeps and -fig all, the largest configuration measured);
+// ApplyConcurrency is the replica-side parallel-apply width, which
+// follows GOMAXPROCS.
 type runMeta struct {
 	GOMAXPROCS       int     `json:"gomaxprocs"`
 	GoVersion        string  `json:"go_version"`
@@ -86,6 +87,74 @@ func newRunMeta(scale float64) runMeta {
 		Scale:            scale,
 		ApplyConcurrency: runtime.GOMAXPROCS(0),
 		Timestamp:        time.Now().UTC().Format(time.RFC3339),
+	}
+}
+
+// figure is one jbench figure: how to run and print it, and where its
+// result goes in the -json artifact.
+type figure struct {
+	name string
+	// key is the result's top-level JSON key; empty spreads the
+	// result's own fields at the top level.
+	key           string
+	heads, shards int // topology recorded in the artifact's meta
+	run           func() (result any, table string, err error)
+}
+
+// fig builds a figure from a typed runner and its formatter.
+func fig[R any](name, key string, heads, shards int, run func() (R, error), format func(R) string) figure {
+	return figure{name, key, heads, shards, func() (any, string, error) {
+		r, err := run()
+		if err != nil {
+			return nil, "", err
+		}
+		return r, format(r), nil
+	}}
+}
+
+// figures lists every figure in -fig all order.
+func figures(cal bench.Calibration, samples, maxHeads, clients int) []figure {
+	counts := []int{10, 50, 100}
+	return []figure{
+		fig("10", "fig10", maxHeads, 1,
+			func() ([]bench.Fig10Row, error) { return bench.Fig10(cal, maxHeads, samples) },
+			func(rows []bench.Fig10Row) string { return bench.FormatFig10(rows, cal) }),
+		fig("11", "fig11", maxHeads, 1,
+			func() ([]bench.Fig11Row, error) { return bench.Fig11(cal, maxHeads, counts) },
+			func(rows []bench.Fig11Row) string { return bench.FormatFig11(rows, cal, counts) }),
+		fig("12", "fig12", maxHeads, 1,
+			func() ([]bench.Fig12Row, error) { return bench.Fig12(maxHeads, 2000), nil },
+			bench.FormatFig12),
+		fig("ablations", "ablations", 2, 1,
+			func() (bench.AblationsResult, error) { return bench.Ablations(cal, samples) },
+			bench.FormatAblations),
+		fig("readpath", "", 2, 1,
+			func() (bench.ReadPathResult, error) {
+				conc, onLoop, err := bench.AblationReadConcurrency(cal, 2, 4, 6, 25)
+				return bench.ReadPathResult{Concurrent: conc, OnLoop: onLoop}, err
+			},
+			bench.FormatReadPath),
+		fig("wal", "wal_policies", 2, 1,
+			func() ([]bench.WALPolicyResult, error) { return bench.MeasureWALPolicies(cal, 2, samples) },
+			bench.FormatWAL),
+		fig("applypipe", "apply_pipeline", 2, 1,
+			func() (bench.ApplyPipeResult, error) { return bench.MeasureApplyPipeline(240, 8, time.Millisecond) },
+			bench.FormatApplyPipe),
+		fig("shards", "shard_scaling", 2, 8,
+			func() (bench.ShardResult, error) { return bench.MeasureShardScaling(192, 8, time.Millisecond) },
+			bench.FormatShards),
+		fig("leases", "lease_reads", 4, 1,
+			func() (bench.LeaseResult, error) { return bench.MeasureLeases(cal, 4, 8, 5, 2*time.Second) },
+			bench.FormatLeases),
+		fig("sched", "sched_policies", 1, 1,
+			func() (bench.SchedResult, error) { return bench.MeasureSchedPolicies(96, 16) },
+			bench.FormatSched),
+		fig("checkpoint", "checkpoint", 2, 1,
+			func() (bench.CheckpointResult, error) { return bench.MeasureCheckpointStall(0, 0, 0) },
+			bench.FormatCheckpoint),
+		fig("writepath", "write_path", 2, 1,
+			func() (bench.WritePathResult, error) { return bench.MeasureWritePath(clients, 3, 2) },
+			bench.FormatWritePath),
 	}
 }
 
@@ -150,251 +219,57 @@ func main() {
 		}
 	}()
 
-	// writeJSON emits the figure's results to -json, stamped with the
-	// run metadata plus the figure's topology (heads, shards).
-	writeJSON := func(payload map[string]any, heads, shards int) {
-		if *jsonPath == "" {
-			return
-		}
-		meta := newRunMeta(*scale)
-		meta.Heads = heads
-		meta.Shards = shards
-		payload["meta"] = meta
-		out, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-	}
-
-	run10 := func() {
-		rows, err := bench.Fig10(cal, *maxHeads, *samples)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatFig10(rows, cal))
-	}
-	run11 := func() {
-		counts := []int{10, 50, 100}
-		rows, err := bench.Fig11(cal, *maxHeads, counts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatFig11(rows, cal, counts))
-	}
-	run12 := func() {
-		fmt.Println(bench.Fig12(*maxHeads, 2000))
-	}
-	runAblations := func() {
-		fmt.Println("Ablations (DESIGN.md §5):")
-		type runner func() (bench.AblationResult, error)
-		for _, r := range []runner{
-			func() (bench.AblationResult, error) { return bench.AblationSafeDelivery(cal, 2, *samples) },
-			func() (bench.AblationResult, error) { return bench.AblationOutputPolicy(cal, 2, *samples) },
-			func() (bench.AblationResult, error) { return bench.AblationBatchSubmission(cal, 2, 100) },
-			func() (bench.AblationResult, error) { return bench.AblationReads(cal, 2, *samples) },
-			func() (bench.AblationResult, error) { return bench.AblationOrderedCompletions(cal, 2, 6) },
-			func() (bench.AblationResult, error) { return bench.AblationExclusiveScheduling(cal, 8) },
-		} {
-			res, err := r()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("  %-32s", res.Name+":")
-			for name, d := range res.Variants {
-				fmt.Printf(" %s=%v", name, d.Round(time.Millisecond/10))
-			}
-			fmt.Println()
-		}
-		stall, normal, err := bench.MeasureSequencerFailoverStall(cal)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("  %-32s stall=%v normal=%v (detection+flush; service state intact)\n",
-			"sequencer failure stall:", stall.Round(time.Millisecond), normal.Round(time.Millisecond))
-		fmt.Println()
-	}
-
-	runReadPath := func() {
-		conc, onLoop, err := bench.AblationReadConcurrency(cal, 2, 4, 6, 25)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Concurrent read path (4 jstat pollers vs a batched submit stream):")
-		for _, r := range []bench.MixedReadResult{conc, onLoop} {
-			fmt.Printf("  %-12s %6.0f reads/s   read mean %-10v batch mean %v\n",
-				r.Variant+":", r.ReadsPerSec, r.ReadMean.Round(time.Millisecond/10), r.SubmitMean.Round(time.Millisecond/10))
-		}
-		if onLoop.ReadsPerSec > 0 {
-			fmt.Printf("  speedup: %.1fx read throughput\n", conc.ReadsPerSec/onLoop.ReadsPerSec)
-		}
-		fmt.Println()
-		writeJSON(map[string]any{
-			"concurrent": conc,
-			"on_loop":    onLoop,
-		}, 2, 1)
-	}
-
-	runWAL := func() {
-		rows, err := bench.MeasureWALPolicies(cal, 2, *samples)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("WAL fsync ablation (submission latency, 2 heads):")
-		var base time.Duration
-		for _, r := range rows {
-			if r.Policy == "in-memory" {
-				base = r.SubmitMean
-			}
-			extra := ""
-			if base > 0 && r.Policy != "in-memory" {
-				extra = fmt.Sprintf("   %+.1f%% vs in-memory", 100*(float64(r.SubmitMean)/float64(base)-1))
-			}
-			if r.Appends > 0 {
-				extra += fmt.Sprintf("   (%d appends, %d fsyncs)", r.Appends, r.Fsyncs)
-			}
-			fmt.Printf("  %-12s %-10v%s\n", r.Policy+":", r.SubmitMean.Round(time.Millisecond/10), extra)
-		}
-		fmt.Println()
-		writeJSON(map[string]any{"wal_policies": rows}, 2, 1)
-	}
-
-	runApplyPipe := func() {
-		res, err := bench.MeasureApplyPipeline(240, 8, time.Millisecond)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Pipelined apply path (SyncPolicy=always, 8 clients, independent keys):")
-		for _, v := range res.Variants {
-			fmt.Printf("  %-10s %7.0f ops/s   p50 %-9v p99 %-9v (runs=%d barriers=%d overlap=%v)\n",
-				v.Name+":", v.Throughput,
-				v.SubmitP50.Round(time.Millisecond/10), v.SubmitP99.Round(time.Millisecond/10),
-				v.ParallelRuns, v.Barriers, v.FsyncOverlap.Round(time.Millisecond))
-		}
-		fmt.Printf("  speedup: %.1fx throughput vs serial, p99 ratio %.2f\n",
-			res.SpeedupParallelVsSerial, res.P99RatioParallelVsSerial)
-		fmt.Println()
-		writeJSON(map[string]any{"apply_pipeline": res}, 2, 1)
-	}
-
-	runShards := func() {
-		res, err := bench.MeasureShardScaling(192, 8, time.Millisecond)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Sharded replication groups (aggregate submit throughput, 8 clients, 2 heads/shard):")
-		for _, v := range res.Variants {
-			fmt.Printf("  %d shard(s): %7.0f jobs/s   p50 %-9v p99 %-9v speedup %.1fx (%d jobs listed)\n",
-				v.Shards, v.Throughput,
-				v.SubmitP50.Round(time.Millisecond/10), v.SubmitP99.Round(time.Millisecond/10),
-				v.Speedup, v.Listed)
-		}
-		fmt.Printf("  speedup at 4 shards: %.1fx vs single group\n", res.SpeedupAt4)
-		fmt.Println()
-		writeJSON(map[string]any{"shard_scaling": res}, 2, 8)
-	}
-
-	runLeases := func() {
-		res, err := bench.MeasureLeases(cal, 4, 8, 5, 2*time.Second)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Read consistency levels (8 readers, 4 heads, pure-read phase):")
-		for _, v := range res.Variants {
-			extra := ""
-			if v.LeaseReads > 0 || v.LeaseFallbacks > 0 {
-				extra = fmt.Sprintf("   (%d leased, %d fallbacks)", v.LeaseReads, v.LeaseFallbacks)
-			}
-			fmt.Printf("  %-12s %7.0f reads/s   read mean %v%s\n",
-				v.Name+":", v.ReadsPerSec, v.ReadMean.Round(time.Millisecond/10), extra)
-		}
-		fmt.Printf("  leased vs local: %.2fx   leased vs broadcast-ordered: %.1fx\n",
-			res.LeasedVsLocal, res.LeasedVsBroadcast)
-		fmt.Println()
-		writeJSON(map[string]any{"lease_reads": res}, 4, 1)
-	}
-
-	runCheckpoint := func() {
-		res, err := bench.MeasureCheckpointStall(0, 0, 0)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatCheckpoint(res))
-		writeJSON(map[string]any{"checkpoint": res}, 2, 1)
-	}
-
-	runSched := func() {
-		res, err := bench.MeasureSchedPolicies(96, 16)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatSched(res))
-		writeJSON(map[string]any{"sched_policies": res}, 1, 1)
-	}
-
-	runWritePath := func(n int) {
-		const heads = 2
-		res, err := bench.MeasureWritePath(n, 3, heads)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("Zero-alloc write path (%d clients x %d puts, %d heads, durable):\n",
-			res.Clients, res.OpsPerClient, res.Heads)
-		fmt.Printf("  throughput: %8.0f ops/s   p50 %-9v p99 %v\n",
-			res.Throughput, res.SubmitP50.Round(time.Millisecond), res.SubmitP99.Round(time.Millisecond))
-		fmt.Printf("  allocs/op:  %8.1f         bytes/op %.0f (process-wide: clients+net+%d replicas)\n",
-			res.AllocsPerOp, res.BytesPerOp, res.Heads)
-		fmt.Printf("  GC: %d cycles, %v paused   heap %0.1f MB   applied %d   reply drops %d\n",
-			res.NumGC, res.GCPauseTotal.Round(time.Millisecond/10),
-			float64(res.HeapAllocBytes)/(1<<20), res.Applied, res.ReplyQueueDrops)
-		fmt.Println()
-		writeJSON(map[string]any{"write_path": res}, heads, 1)
-	}
-
-	switch *fig {
-	case "10":
-		run10()
-	case "11":
-		run11()
-	case "12":
-		run12()
-	case "ablations":
-		runAblations()
-	case "readpath":
-		runReadPath()
-	case "wal":
-		runWAL()
-	case "applypipe":
-		runApplyPipe()
-	case "shards":
-		runShards()
-	case "leases":
-		runLeases()
-	case "writepath":
-		runWritePath(*clients)
-	case "sched":
-		runSched()
-	case "checkpoint":
-		runCheckpoint()
-	case "all":
-		run10()
-		run11()
-		run12()
-		runAblations()
-		runReadPath()
-		runWAL()
-		runApplyPipe()
-		runShards()
-		runLeases()
-		runSched()
-		runCheckpoint()
+	n := *clients
+	if *fig == "all" {
 		// "all" is the smoke-everything mode; cap the client fleet so
 		// it stays minutes, not tens of minutes. The full 10k-client
 		// profile is an explicit -fig writepath run.
-		runWritePath(min(*clients, 2000))
-	default:
+		n = min(n, 2000)
+	}
+	var selected []figure
+	for _, f := range figures(cal, *samples, *maxHeads, n) {
+		if *fig == "all" || *fig == f.name {
+			selected = append(selected, f)
+		}
+	}
+	if len(selected) == 0 {
 		fail(fmt.Errorf("unknown -fig %q", *fig))
+	}
+
+	payload := map[string]json.RawMessage{}
+	meta := newRunMeta(*scale)
+	for _, f := range selected {
+		res, table, err := f.run()
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println(table)
+		body, err := json.Marshal(res)
+		if err != nil {
+			fail(err)
+		}
+		if f.key == "" {
+			err = json.Unmarshal(body, &payload)
+		} else {
+			payload[f.key] = body
+		}
+		if err != nil {
+			fail(err)
+		}
+		meta.Heads, meta.Shards = max(meta.Heads, f.heads), max(meta.Shards, f.shards)
+	}
+	if *jsonPath == "" {
+		return
+	}
+	var err error
+	if payload["meta"], err = json.Marshal(meta); err != nil {
+		fail(err)
+	}
+	out, err := json.MarshalIndent(payload, "", "  ")
+	if err != nil {
+		fail(err)
+	}
+	if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
+		fail(err)
 	}
 }

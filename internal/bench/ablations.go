@@ -2,6 +2,8 @@ package bench
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"time"
 
 	"joshua/internal/cluster"
@@ -13,15 +15,34 @@ import (
 
 var errTimeout = errors.New("bench: workload did not complete in time")
 
-// clusterNew is a seam for building ablation clusters.
-func clusterNew(opts cluster.Options) (*cluster.Cluster, error) {
-	return cluster.New(opts)
-}
-
 // AblationResult is one compared pair of configurations.
 type AblationResult struct {
 	Name     string
 	Variants map[string]time.Duration
+}
+
+// pair measures each named variant in turn.
+func pair(name string, variants []string, measure func(i int) (time.Duration, error)) (AblationResult, error) {
+	res := AblationResult{Name: name, Variants: map[string]time.Duration{}}
+	for i, v := range variants {
+		d, err := measure(i)
+		if err != nil {
+			return res, err
+		}
+		res.Variants[v] = d
+	}
+	return res, nil
+}
+
+// latencyOf boots a JOSHUA group and returns its mean submission
+// latency.
+func latencyOf(cal Calibration, heads, samples int) (time.Duration, error) {
+	sys, err := StartSystem(cal, heads, false)
+	if err != nil {
+		return 0, err
+	}
+	defer sys.Close()
+	return MeasureLatency(sys.Client, samples)
 }
 
 // AblationSafeDelivery compares submission latency under safe
@@ -29,114 +50,92 @@ type AblationResult struct {
 // calibrated default, closing the amnesia window) against agreed
 // delivery (deliver on sequencer order alone).
 func AblationSafeDelivery(cal Calibration, heads, samples int) (AblationResult, error) {
-	res := AblationResult{Name: "delivery guarantee", Variants: map[string]time.Duration{}}
-
-	for _, agreed := range []bool{false, true} {
+	return pair("delivery guarantee", []string{"safe", "agreed"}, func(i int) (time.Duration, error) {
 		c := cal
-		c.Agreed = agreed
-		sys, err := StartSystem(c, heads, false)
-		if err != nil {
-			return res, err
-		}
-		lat, err := MeasureLatency(sys.Client, samples)
-		sys.Close()
-		if err != nil {
-			return res, err
-		}
-		if agreed {
-			res.Variants["agreed"] = lat
-		} else {
-			res.Variants["safe"] = lat
-		}
-	}
-	return res, nil
+		c.Agreed = i == 1
+		return latencyOf(c, heads, samples)
+	})
 }
 
 // AblationOutputPolicy compares the two output-mutual-exclusion
 // policies: the intercepting head answers (the paper's structure)
 // versus the view leader answers everything.
 func AblationOutputPolicy(cal Calibration, heads, samples int) (AblationResult, error) {
-	res := AblationResult{Name: "output mutual exclusion", Variants: map[string]time.Duration{}}
-	for _, policy := range []joshua.OutputPolicy{joshua.OriginReplies, joshua.LeaderReplies} {
+	return pair("output mutual exclusion", []string{"origin-replies", "leader-replies"}, func(i int) (time.Duration, error) {
 		c := cal
-		c.OutputPolicy = policy
-		sys, err := StartSystem(c, heads, false)
-		if err != nil {
-			return res, err
-		}
-		lat, err := MeasureLatency(sys.Client, samples)
-		sys.Close()
-		if err != nil {
-			return res, err
-		}
-		if policy == joshua.LeaderReplies {
-			res.Variants["leader-replies"] = lat
-		} else {
-			res.Variants["origin-replies"] = lat
-		}
-	}
-	return res, nil
+		c.OutputPolicy = []joshua.OutputPolicy{joshua.OriginReplies, joshua.LeaderReplies}[i]
+		return latencyOf(c, heads, samples)
+	})
 }
 
 // AblationBatchSubmission compares enqueueing n jobs as n sequential
 // commands versus one batched command — quantifying the remedy the
 // paper suggests for total-order throughput overhead.
 func AblationBatchSubmission(cal Calibration, heads, n int) (AblationResult, error) {
-	res := AblationResult{Name: "batched submission", Variants: map[string]time.Duration{}}
 	sys, err := StartSystem(cal, heads, false)
 	if err != nil {
-		return res, err
+		return AblationResult{}, err
 	}
 	defer sys.Close()
-
-	seq, err := MeasureThroughput(sys.Client, n)
-	if err != nil {
-		return res, err
-	}
-	res.Variants["sequential"] = seq
-
-	batched, err := MeasureBatchThroughput(sys.Client, n)
-	if err != nil {
-		return res, err
-	}
-	res.Variants["batched"] = batched
-	return res, nil
+	return pair("batched submission", []string{"sequential", "batched"}, func(i int) (time.Duration, error) {
+		if i == 0 {
+			return MeasureThroughput(sys.Client, n)
+		}
+		return MeasureBatchThroughput(sys.Client, n)
+	})
 }
 
-// AblationReads compares totally ordered (linearizable) jstat reads
-// against local (possibly stale) reads on the same group. Leases are
-// off: under a read lease the ordered read is served locally too, and
-// the ablation would time two local reads.
-func AblationReads(cal Calibration, heads, samples int) (AblationResult, error) {
-	res := AblationResult{Name: "ordered vs local reads", Variants: map[string]time.Duration{}}
+// readProbe boots the read ablation's group with leases off (under a
+// read lease the ordered read is served locally too, and the pair
+// would time two local reads) and submits one held job to read.
+func readProbe(cal Calibration, heads int) (*System, pbs.JobID, error) {
 	opts := cal.options(heads, false)
 	opts.LeaseDuration = -1
 	sys, err := startSystem(opts)
 	if err != nil {
-		return res, err
+		return nil, "", err
 	}
-	defer sys.Close()
-
 	j, err := sys.Client.Submit(pbs.SubmitRequest{Name: "probe", Owner: "bench", Hold: true})
+	if err != nil {
+		sys.Close()
+		return nil, "", err
+	}
+	return sys, j.ID, nil
+}
+
+// readPath is one side of the read ablation.
+type readPath struct {
+	name string
+	read func() error
+}
+
+// readPair is the read ablation's two paths: ordered through the
+// total order, and local from the answering head's replica.
+func readPair(cli *joshua.Client, id pbs.JobID) []readPath {
+	return []readPath{
+		{"ordered", func() error { _, err := cli.StatOrdered(id); return err }},
+		{"local", func() error { _, err := cli.StatLocal(id); return err }},
+	}
+}
+
+// AblationReads compares totally ordered (linearizable) jstat reads
+// against local (possibly stale) reads on the same group.
+func AblationReads(cal Calibration, heads, samples int) (AblationResult, error) {
+	res := AblationResult{Name: "ordered vs local reads", Variants: map[string]time.Duration{}}
+	sys, id, err := readProbe(cal, heads)
 	if err != nil {
 		return res, err
 	}
-
-	start := time.Now()
-	for i := 0; i < samples; i++ {
-		if _, err := sys.Client.StatOrdered(j.ID); err != nil {
-			return res, err
+	defer sys.Close()
+	for _, v := range readPair(sys.Client, id) {
+		start := time.Now()
+		for i := 0; i < samples; i++ {
+			if err := v.read(); err != nil {
+				return res, err
+			}
 		}
+		res.Variants[v.name] = time.Since(start) / time.Duration(samples)
 	}
-	res.Variants["ordered"] = time.Since(start) / time.Duration(samples)
-
-	start = time.Now()
-	for i := 0; i < samples; i++ {
-		if _, err := sys.Client.StatLocal(j.ID); err != nil {
-			return res, err
-		}
-	}
-	res.Variants["local"] = time.Since(start) / time.Duration(samples)
 	return res, nil
 }
 
@@ -156,24 +155,51 @@ func MeasureSequencerFailoverStall(cal Calibration) (stall, normal time.Duration
 	defer sys.Close()
 
 	// Warm path, and a baseline sample.
-	if err := holdSubmit(sys.Client); err != nil {
+	if _, err := MeasureThroughput(sys.Client, 1); err != nil {
 		return 0, 0, err
 	}
-	start := time.Now()
-	if err := holdSubmit(sys.Client); err != nil {
+	if normal, err = MeasureThroughput(sys.Client, 1); err != nil {
 		return 0, 0, err
 	}
-	normal = time.Since(start)
-
 	// Kill the sequencer (head0) and time the next command end to
 	// end, including detection, flush, and retransmission.
 	sys.Cluster.CrashHead(0)
-	start = time.Now()
-	if err := holdSubmit(sys.Client); err != nil {
-		return 0, 0, err
+	stall, err = MeasureThroughput(sys.Client, 1)
+	return stall, normal, err
+}
+
+// makespan boots a system from opts, submits jobs runnable jobs of
+// the given wall time, and returns the time until all completed.
+func makespan(opts cluster.Options, jobs int, wall time.Duration) (time.Duration, error) {
+	opts.TimeScale = 1.0
+	sys, err := startSystem(opts)
+	if err != nil {
+		return 0, err
 	}
-	stall = time.Since(start)
-	return stall, normal, nil
+	defer sys.Close()
+	start := time.Now()
+	ids := make([]pbs.JobID, 0, jobs)
+	for i := 0; i < jobs; i++ {
+		j, err := sys.Client.Submit(pbs.SubmitRequest{Name: "work", Owner: "bench", WallTime: wall})
+		if err != nil {
+			return 0, err
+		}
+		ids = append(ids, j.ID)
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for _, id := range ids {
+		for {
+			j, err := sys.Client.StatLocal(id)
+			if err == nil && len(j) == 1 && j[0].State == pbs.StateCompleted {
+				break
+			}
+			if time.Now().After(deadline) {
+				return 0, errTimeout
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	return time.Since(start), nil
 }
 
 // AblationOrderedCompletions compares the makespan of a short
@@ -182,56 +208,11 @@ func MeasureSequencerFailoverStall(cal Calibration) (stall, normal time.Duration
 // deterministic-allocation extension): ordering adds one total-order
 // round per completion, on the critical path between FIFO jobs.
 func AblationOrderedCompletions(cal Calibration, heads, jobs int) (AblationResult, error) {
-	res := AblationResult{Name: "completion ordering", Variants: map[string]time.Duration{}}
-	for _, ordered := range []bool{false, true} {
+	return pair("completion ordering", []string{"direct", "ordered"}, func(i int) (time.Duration, error) {
 		c := cal
-		c.OrderedCompletions = ordered
-		opts := c.options(heads, false)
-		opts.TimeScale = 1.0
-		cl, err := clusterNew(opts)
-		if err != nil {
-			return res, err
-		}
-		if err := cl.WaitReady(30 * time.Second); err != nil {
-			cl.Close()
-			return res, err
-		}
-		cli, err := cl.ClientFor(heads - 1)
-		if err != nil {
-			cl.Close()
-			return res, err
-		}
-		start := time.Now()
-		var ids []pbs.JobID
-		for i := 0; i < jobs; i++ {
-			j, err := cli.Submit(pbs.SubmitRequest{Name: "w", WallTime: time.Millisecond})
-			if err != nil {
-				cl.Close()
-				return res, err
-			}
-			ids = append(ids, j.ID)
-		}
-		deadline := time.Now().Add(2 * time.Minute)
-		for {
-			last, err := cli.StatLocal(ids[len(ids)-1])
-			if err == nil && len(last) == 1 && last[0].State == pbs.StateCompleted {
-				break
-			}
-			if time.Now().After(deadline) {
-				cl.Close()
-				return res, errTimeout
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		elapsed := time.Since(start)
-		cl.Close()
-		if ordered {
-			res.Variants["ordered"] = elapsed
-		} else {
-			res.Variants["direct"] = elapsed
-		}
-	}
-	return res, nil
+		c.OrderedCompletions = i == 1
+		return makespan(c.options(heads, false), jobs, time.Millisecond)
+	})
 }
 
 // AblationExclusiveScheduling compares time-to-complete a small mixed
@@ -239,66 +220,56 @@ func AblationOrderedCompletions(cal Calibration, heads, jobs int) (AblationResul
 // packing (the restriction the paper says "may be lifted in the
 // future").
 func AblationExclusiveScheduling(cal Calibration, jobs int) (AblationResult, error) {
-	res := AblationResult{Name: "exclusive vs packed scheduling", Variants: map[string]time.Duration{}}
-	for _, exclusive := range []bool{true, false} {
+	return pair("exclusive vs packed scheduling", []string{"exclusive", "packed"}, func(i int) (time.Duration, error) {
 		opts := cal.options(2, false)
-		opts.Exclusive = exclusive
+		opts.Exclusive = i == 0
 		opts.Computes = 4
-		opts.TimeScale = 1.0
-		c, err := clusterNew(opts)
+		return makespan(opts, jobs, 50*time.Millisecond)
+	})
+}
+
+// AblationsResult is every design-choice ablation plus the
+// sequencer-failure stall.
+type AblationsResult struct {
+	Pairs          []AblationResult `json:"pairs"`
+	FailoverStall  time.Duration    `json:"failover_stall_ns"`
+	FailoverNormal time.Duration    `json:"failover_normal_ns"`
+}
+
+// Ablations runs the DESIGN.md ablations on 2-head groups.
+func Ablations(cal Calibration, samples int) (AblationsResult, error) {
+	var res AblationsResult
+	for _, run := range []func() (AblationResult, error){
+		func() (AblationResult, error) { return AblationSafeDelivery(cal, 2, samples) },
+		func() (AblationResult, error) { return AblationOutputPolicy(cal, 2, samples) },
+		func() (AblationResult, error) { return AblationBatchSubmission(cal, 2, 100) },
+		func() (AblationResult, error) { return AblationReads(cal, 2, samples) },
+		func() (AblationResult, error) { return AblationOrderedCompletions(cal, 2, 6) },
+		func() (AblationResult, error) { return AblationExclusiveScheduling(cal, 8) },
+	} {
+		r, err := run()
 		if err != nil {
 			return res, err
 		}
-		if err := c.WaitReady(30 * time.Second); err != nil {
-			c.Close()
-			return res, err
-		}
-		cli, err := c.ClientFor(1)
-		if err != nil {
-			c.Close()
-			return res, err
-		}
-		start := time.Now()
-		var ids []pbs.JobID
-		for i := 0; i < jobs; i++ {
-			j, err := cli.Submit(pbs.SubmitRequest{
-				Name:     "work",
-				Owner:    "bench",
-				WallTime: 50 * time.Millisecond,
-			})
-			if err != nil {
-				c.Close()
-				return res, err
-			}
-			ids = append(ids, j.ID)
-		}
-		// Wait for completion of the whole workload.
-		deadline := time.Now().Add(2 * time.Minute)
-		for {
-			done := true
-			for _, id := range ids {
-				j, err := cli.StatLocal(id)
-				if err != nil || len(j) == 0 || j[0].State != pbs.StateCompleted {
-					done = false
-					break
-				}
-			}
-			if done {
-				break
-			}
-			if time.Now().After(deadline) {
-				c.Close()
-				return res, errTimeout
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		elapsed := time.Since(start)
-		c.Close()
-		if exclusive {
-			res.Variants["exclusive"] = elapsed
-		} else {
-			res.Variants["packed"] = elapsed
-		}
+		res.Pairs = append(res.Pairs, r)
 	}
-	return res, nil
+	var err error
+	res.FailoverStall, res.FailoverNormal, err = MeasureSequencerFailoverStall(cal)
+	return res, err
+}
+
+// FormatAblations renders the ablations for the terminal.
+func FormatAblations(res AblationsResult) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "Ablations (DESIGN.md §5):")
+	for _, r := range res.Pairs {
+		fmt.Fprintf(&b, "  %-32s", r.Name+":")
+		for name, d := range r.Variants {
+			fmt.Fprintf(&b, " %s=%v", name, d.Round(time.Millisecond/10))
+		}
+		fmt.Fprintln(&b)
+	}
+	fmt.Fprintf(&b, "  %-32s stall=%v normal=%v (detection+flush; service state intact)\n",
+		"sequencer failure stall:", res.FailoverStall.Round(time.Millisecond), res.FailoverNormal.Round(time.Millisecond))
+	return b.String()
 }

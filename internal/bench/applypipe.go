@@ -2,17 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
+	"strings"
 	"time"
 
-	"joshua/internal/gcs"
 	"joshua/internal/rsm"
 	"joshua/internal/rsm/kvstore"
-	"joshua/internal/simnet"
-	"joshua/internal/transport"
 	"joshua/internal/wal"
 )
 
@@ -115,170 +109,61 @@ func MeasureApplyPipeline(ops, clients int, applyCost time.Duration) (ApplyPipeR
 // group and drives the timed workload through it.
 func measureApplyPipeVariant(name string, conc, ops, clients int, applyCost time.Duration) (ApplyPipeVariant, error) {
 	v := ApplyPipeVariant{Name: name, ApplyConcurrency: conc}
-
-	dir, err := os.MkdirTemp("", "joshua-bench-applypipe-")
+	r, err := newKVRig(rigConfig{
+		members: 2,
+		latency: time.Millisecond,
+		mutate: func(c *rsm.Config) {
+			c.SyncPolicy = wal.SyncAlways
+			c.ApplyConcurrency = conc
+		},
+		store: func(s *kvstore.Store) { s.SetApplyCost(applyCost) },
+	})
 	if err != nil {
 		return v, err
 	}
-	defer os.RemoveAll(dir)
+	defer r.close()
 
-	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
-	defer net.Close()
-
-	const heads = 2
-	peers := map[gcs.MemberID]transport.Addr{}
-	initial := make([]gcs.MemberID, heads)
-	for i := 0; i < heads; i++ {
-		id := gcs.MemberID(fmt.Sprintf("rep%d", i))
-		peers[id] = transport.Addr(fmt.Sprintf("rep%d/gcs", i))
-		initial[i] = id
-	}
-
-	reps := make([]*rsm.Replica, heads)
-	stores := make([]*kvstore.Store, heads)
-	headAddrs := make([]transport.Addr, heads)
-	for i := 0; i < heads; i++ {
-		groupEP, err := net.Endpoint(transport.Addr(fmt.Sprintf("rep%d/gcs", i)))
-		if err != nil {
-			return v, err
-		}
-		clientAddr := transport.Addr(fmt.Sprintf("rep%d/kv", i))
-		clientEP, err := net.Endpoint(clientAddr)
-		if err != nil {
-			return v, err
-		}
-		headAddrs[i] = clientAddr
-		store := kvstore.NewStore()
-		store.SetApplyCost(applyCost)
-		rep, err := rsm.Start(rsm.Config{
-			Self:             initial[i],
-			GroupEndpoint:    groupEP,
-			ClientEndpoint:   clientEP,
-			Peers:            peers,
-			InitialMembers:   initial,
-			Service:          store,
-			Classify:         kvstore.Classifier(store),
-			RejectNotPrimary: kvstore.RejectNotPrimary,
-			DataDir:          filepath.Join(dir, fmt.Sprintf("rep%d", i)),
-			SyncPolicy:       wal.SyncAlways,
-			ApplyConcurrency: conc,
-			TuneGCS: func(g *gcs.Config) {
-				g.Heartbeat = 25 * time.Millisecond
-				g.FailTimeout = 500 * time.Millisecond
-			},
-		})
-		if err != nil {
-			return v, err
-		}
-		defer rep.Close()
-		reps[i] = rep
-		stores[i] = store
-	}
-	for i := 0; i < heads; i++ {
-		select {
-		case <-reps[i].Ready():
-		case <-time.After(30 * time.Second):
-			return v, fmt.Errorf("replica %d not ready", i)
-		}
-	}
-
-	// One client per worker goroutine, each putting its own key space:
-	// every command is independent of every concurrent command, the
-	// regime the conflict analysis targets.
-	kvs := make([]*kvstore.Client, clients)
-	for c := 0; c < clients; c++ {
-		ep, err := net.Endpoint(transport.Addr(fmt.Sprintf("user%d/kv", c)))
-		if err != nil {
-			return v, err
-		}
-		cli, err := kvstore.NewClient(ep, headAddrs, 10*time.Second)
-		if err != nil {
-			return v, err
-		}
-		defer cli.Close()
-		kvs[c] = cli
-	}
-
-	perClient := ops / clients
-	run := func(warmup bool) error {
-		var wg sync.WaitGroup
-		errs := make([]error, clients)
-		lats := make([][]time.Duration, clients)
-		n := perClient
-		if warmup {
-			n = 2
-		}
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					key := fmt.Sprintf("c%02d-k%03d", c, i)
-					if warmup {
-						key = fmt.Sprintf("warm-c%02d-%d", c, i)
-					}
-					start := time.Now()
-					if err := kvs[c].Put(key, "v"); err != nil {
-						errs[c] = err
-						return
-					}
-					lats[c] = append(lats[c], time.Since(start))
-				}
-			}(c)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		if !warmup {
-			var all []time.Duration
-			for _, l := range lats {
-				all = append(all, l...)
-			}
-			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			v.SubmitP50 = percentileDur(all, 0.50)
-			v.SubmitP99 = percentileDur(all, 0.99)
-		}
-		return nil
-	}
-
-	if err := run(true); err != nil {
+	// Every client puts its own key space: each command is independent
+	// of every concurrent command, the regime the conflict analysis
+	// targets.
+	kvs, err := r.clients(clients, func(int) []int { return []int{0, 1} })
+	if err != nil {
 		return v, err
 	}
-	start := time.Now()
-	if err := run(false); err != nil {
+	if _, err := drive(clients, 2, nil, func(c, i int) error {
+		return kvs[c].Put(fmt.Sprintf("warm-c%02d-%d", c, i), "v")
+	}); err != nil {
 		return v, err
 	}
-	v.Elapsed = time.Since(start)
-	if v.Elapsed > 0 {
-		v.Throughput = float64(clients*perClient) / v.Elapsed.Seconds()
+	d, err := drive(clients, ops/clients, nil, func(c, i int) error {
+		return kvs[c].Put(fmt.Sprintf("c%02d-k%03d", c, i), "v")
+	})
+	if err != nil {
+		return v, err
 	}
-	for i := 0; i < heads; i++ {
-		st := reps[i].Stats()
+	v.Elapsed, v.Throughput = d.elapsed, d.perSec()
+	lat := summarize(d.lats)
+	v.SubmitP50, v.SubmitP99 = lat.p50, lat.p99
+	for _, st := range r.stats() {
 		v.ParallelRuns += st.ApplyParallelRuns
 		v.Barriers += st.ApplyBarriers
 		v.FsyncOverlap += time.Duration(st.FsyncOverlapNs)
-		if lag := time.Duration(st.DurabilityLagMax); lag > v.DurabilityLagMax {
-			v.DurabilityLagMax = lag
-		}
+		v.DurabilityLagMax = max(v.DurabilityLagMax, time.Duration(st.DurabilityLagMax))
 	}
 	return v, nil
 }
 
-// percentileDur returns the p-quantile of a sorted sample by
-// nearest-rank.
-func percentileDur(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+// FormatApplyPipe renders the ablation for the terminal.
+func FormatApplyPipe(res ApplyPipeResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Pipelined apply path (SyncPolicy=always, %d clients, independent keys):\n", res.Clients)
+	for _, v := range res.Variants {
+		fmt.Fprintf(&b, "  %-10s %7.0f ops/s   p50 %-9v p99 %-9v (runs=%d barriers=%d overlap=%v)\n",
+			v.Name+":", v.Throughput,
+			v.SubmitP50.Round(time.Millisecond/10), v.SubmitP99.Round(time.Millisecond/10),
+			v.ParallelRuns, v.Barriers, v.FsyncOverlap.Round(time.Millisecond))
 	}
-	i := int(p*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	fmt.Fprintf(&b, "  speedup: %.1fx throughput vs serial, p99 ratio %.2f\n",
+		res.SpeedupParallelVsSerial, res.P99RatioParallelVsSerial)
+	return b.String()
 }

@@ -135,29 +135,34 @@ func StartSystem(cal Calibration, heads int, plain bool) (*System, error) {
 	return startSystem(cal.options(heads, plain))
 }
 
-// startSystem is StartSystem over explicit cluster options.
+// startSystem is StartSystem over explicit cluster options. A sharded
+// cluster's client routes across every shard.
 func startSystem(opts cluster.Options) (*System, error) {
-	heads, plain := opts.Heads, opts.Plain
 	c, err := cluster.New(opts)
 	if err != nil {
 		return nil, err
 	}
-	if !plain {
+	if !opts.Plain {
 		if err := c.WaitReady(30 * time.Second); err != nil {
 			c.Close()
 			return nil, err
 		}
 	}
-	cli, err := c.ClientFor(heads - 1)
+	var cli *joshua.Client
+	if c.Shards() == 1 {
+		cli, err = c.ClientFor(opts.Heads - 1)
+	} else {
+		cli, err = c.Client()
+	}
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	name := fmt.Sprintf("JOSHUA/TORQUE %d", heads)
-	if plain {
+	name := fmt.Sprintf("JOSHUA/TORQUE %d", opts.Heads)
+	if opts.Plain {
 		name = "TORQUE"
 	}
-	return &System{Name: name, Heads: heads, Cluster: c, Client: cli}, nil
+	return &System{Name: name, Heads: opts.Heads, Cluster: c, Client: cli}, nil
 }
 
 // Close tears the system down.
@@ -171,21 +176,20 @@ func holdSubmit(cli *joshua.Client) error {
 	return err
 }
 
+// batchSubmit enqueues n held jobs as one batched command.
+func batchSubmit(cli *joshua.Client, n int) error {
+	_, err := cli.SubmitBatch(pbs.SubmitRequest{Name: "bench", Owner: "bench", Hold: true}, n)
+	return err
+}
+
 // MeasureLatency returns the mean single-submission latency over the
 // given number of samples, after a short warmup.
 func MeasureLatency(cli *joshua.Client, samples int) (time.Duration, error) {
-	for i := 0; i < 3; i++ {
-		if err := holdSubmit(cli); err != nil {
-			return 0, err
-		}
+	if _, err := MeasureThroughput(cli, 3); err != nil {
+		return 0, err
 	}
-	start := time.Now()
-	for i := 0; i < samples; i++ {
-		if err := holdSubmit(cli); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(samples), nil
+	d, err := MeasureThroughput(cli, samples)
+	return d / time.Duration(samples), err
 }
 
 // MeasureThroughput returns the wall time to enqueue n jobs
@@ -204,7 +208,7 @@ func MeasureThroughput(cli *joshua.Client, n int) (time.Duration, error) {
 // MeasureBatchThroughput enqueues n jobs as a single batched command.
 func MeasureBatchThroughput(cli *joshua.Client, n int) (time.Duration, error) {
 	start := time.Now()
-	if _, err := cli.SubmitBatch(pbs.SubmitRequest{Name: "bench", Owner: "bench", Hold: true}, n); err != nil {
+	if err := batchSubmit(cli, n); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil

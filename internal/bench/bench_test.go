@@ -1,13 +1,17 @@
 package bench
 
 import (
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"joshua/internal/joshua"
-	"joshua/internal/pbs"
 	"joshua/internal/rsm"
 )
 
@@ -78,7 +82,7 @@ func TestFig11ShapeHolds(t *testing.T) {
 }
 
 func TestFig12Table(t *testing.T) {
-	out := Fig12(4, 200)
+	out := FormatFig12(Fig12(4, 200))
 	for _, want := range []string{"98.6%", "99.98%", "99.9997%", "99.999996%", "Monte-Carlo"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig12 missing %q:\n%s", want, out)
@@ -204,72 +208,71 @@ func TestMixedReadConcurrencyShape(t *testing.T) {
 // benchmarkMixedReads reports per-listing latency with a batched
 // submit stream occupying the replication loop in the background.
 func benchmarkMixedReads(b *testing.B, readConcurrency int) {
-	cal := tiny()
-	opts := cal.options(2, false)
+	opts := tiny().options(2, false)
 	opts.ReadConcurrency = readConcurrency
-	c, err := clusterNew(opts)
+	sys, err := startSystem(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.WaitReady(30 * time.Second); err != nil {
-		b.Fatal(err)
-	}
-	submitCli, err := c.ClientFor(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := holdSubmit(submitCli); err != nil {
+	defer sys.Close()
+	if err := holdSubmit(sys.Client); err != nil {
 		b.Fatal(err)
 	}
 
 	// ClientFor is not safe for concurrent use; hand a client to each
 	// RunParallel goroutine under a lock.
 	var mu sync.Mutex
-	newClient := func() *joshua.Client {
+	newClient := func() (*joshua.Client, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		cli, err := c.ClientFor(0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return cli
+		return sys.Cluster.ClientFor(0, 1)
 	}
 
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := submitCli.SubmitBatch(pbs.SubmitRequest{Name: "bench", Owner: "bench", Hold: true}, 25); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	}()
-
 	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		cli := newClient()
-		for pb.Next() {
-			if _, err := cli.StatAll(); err != nil {
+	_, err = drive(1, 0, func() error {
+		b.RunParallel(func(pb *testing.PB) {
+			cli, err := newClient()
+			if err != nil {
 				b.Error(err)
 				return
 			}
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	<-done
+			for pb.Next() {
+				if _, err := cli.StatAll(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		return nil
+	}, func(_, _ int) error { return batchSubmit(sys.Client, 25) })
+	if err != nil {
+		b.Fatal(err)
+	}
 }
 
 func BenchmarkMixedReadsConcurrent(b *testing.B) { benchmarkMixedReads(b, 0) }
 func BenchmarkMixedReadsOnLoop(b *testing.B)     { benchmarkMixedReads(b, rsm.ReadOnLoop) }
+
+// BenchmarkAblationReads times the read ablation's pair, one read per
+// iteration, on its leases-off group: ordered through the total order
+// and local from the answering head.
+func BenchmarkAblationReads(b *testing.B) {
+	sys, id, err := readProbe(tiny(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	for _, v := range readPair(sys.Client, id) {
+		b.Run(v.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := v.read(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 func TestSequencerFailoverStall(t *testing.T) {
 	if testing.Short() {
@@ -288,5 +291,155 @@ func TestSequencerFailoverStall(t *testing.T) {
 	// well under 5 seconds.
 	if stall > 5*time.Second {
 		t.Errorf("stall = %v, want bounded by detection+flush", stall)
+	}
+}
+
+// TestDrive checks the client driver's contract: every call of a clean
+// run is sampled, and a call failing at any point fails the whole run
+// with its error and no partial sample, in both the fixed-count and
+// the run-until modes.
+func TestDrive(t *testing.T) {
+	d, err := drive(3, 10, nil, func(int, int) error { return nil })
+	if err != nil || d.ops != 30 || len(d.lats) != 30 || d.elapsed <= 0 {
+		t.Fatalf("clean run: ops=%d lats=%d elapsed=%v err=%v", d.ops, len(d.lats), d.elapsed, err)
+	}
+
+	boom := errors.New("boom")
+	const k = 4
+	failed := make(chan struct{})
+	failAt := func(c, i int) error {
+		if c == 1 && i == k {
+			close(failed)
+			return boom
+		}
+		time.Sleep(100 * time.Microsecond)
+		return nil
+	}
+	d, err = drive(3, 10, nil, failAt)
+	if !errors.Is(err, boom) {
+		t.Errorf("fixed-count run: err = %v, want %v", err, boom)
+	}
+	if d.ops != 0 || d.lats != nil {
+		t.Errorf("fixed-count run reported %d ops, %d samples after a failure", d.ops, len(d.lats))
+	}
+
+	failed = make(chan struct{})
+	d, err = drive(3, 0, func() error { <-failed; return nil }, failAt)
+	if !errors.Is(err, boom) {
+		t.Errorf("run-until: err = %v, want %v", err, boom)
+	}
+	if d.ops != 0 || d.lats != nil {
+		t.Errorf("run-until reported %d ops, %d samples after a failure", d.ops, len(d.lats))
+	}
+
+	if _, err := drive(2, 0, func() error { return boom }, func(int, int) error {
+		time.Sleep(100 * time.Microsecond)
+		return nil
+	}); !errors.Is(err, boom) {
+		t.Errorf("failing until: err = %v, want %v", err, boom)
+	}
+}
+
+func TestSummarize(t *testing.T) {
+	var lats []time.Duration
+	for i := 1000; i >= 1; i-- {
+		lats = append(lats, time.Duration(i))
+	}
+	if got, want := summarize(lats), (latency{p50: 500, p99: 990, p999: 999, max: 1000}); got != want {
+		t.Errorf("summarize = %+v, want %+v", got, want)
+	}
+	if got := summarize(nil); got != (latency{}) {
+		t.Errorf("summarize(nil) = %+v", got)
+	}
+}
+
+// TestCommittedArtifactKeys checks that each figure's result type
+// still produces every key path of its committed BENCH_pr*.json, so
+// the trajectory stays comparable across changes.
+func TestCommittedArtifactKeys(t *testing.T) {
+	for _, a := range []struct {
+		file string
+		key  string // "" = the result is the whole artifact minus meta
+		res  any
+	}{
+		{"BENCH_pr3.json", "", ReadPathResult{}},
+		{"BENCH_pr4.json", "wal_policies", []WALPolicyResult{}},
+		{"BENCH_pr5.json", "apply_pipeline", ApplyPipeResult{}},
+		{"BENCH_pr6.json", "shard_scaling", ShardResult{}},
+		{"BENCH_pr7.json", "lease_reads", LeaseResult{}},
+		{"BENCH_pr8.json", "write_path", WritePathResult{}},
+		{"BENCH_pr9.json", "sched_policies", SchedResult{}},
+		{"BENCH_pr10.json", "checkpoint", CheckpointResult{}},
+	} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", a.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var committed map[string]any
+		if err := json.Unmarshal(raw, &committed); err != nil {
+			t.Fatalf("%s: %v", a.file, err)
+		}
+		var want any = committed
+		if a.key != "" {
+			want = committed[a.key]
+		} else {
+			delete(committed, "meta")
+		}
+		if want == nil {
+			t.Errorf("%s has no %q", a.file, a.key)
+			continue
+		}
+
+		// One element in every slice, so nested keys are emitted.
+		v := reflect.New(reflect.TypeOf(a.res)).Elem()
+		fill(v)
+		body, err := json.Marshal(v.Interface())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var produced any
+		if err := json.Unmarshal(body, &produced); err != nil {
+			t.Fatal(err)
+		}
+		have := map[string]bool{}
+		keyPaths(produced, "", have)
+		wantPaths := map[string]bool{}
+		keyPaths(want, "", wantPaths)
+		if len(wantPaths) == 0 {
+			t.Errorf("%s: no key paths under %q", a.file, a.key)
+		}
+		for p := range wantPaths {
+			if !have[p] {
+				t.Errorf("%s: key %s%s is no longer produced", a.file, a.key, p)
+			}
+		}
+	}
+}
+
+func fill(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(v.Field(i))
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fill(v.Index(0))
+	}
+}
+
+func keyPaths(x any, prefix string, out map[string]bool) {
+	switch x := x.(type) {
+	case map[string]any:
+		for k, v := range x {
+			out[prefix+"."+k] = true
+			keyPaths(v, prefix+"."+k, out)
+		}
+	case []any:
+		for _, v := range x {
+			keyPaths(v, prefix+"[]", out)
+		}
 	}
 }

@@ -2,18 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"time"
 
-	"joshua/internal/gcs"
 	"joshua/internal/rsm"
 	"joshua/internal/rsm/kvstore"
-	"joshua/internal/simnet"
-	"joshua/internal/transport"
-	"joshua/internal/wal"
 )
 
 // This file measures what checkpointing costs the submission path
@@ -85,154 +78,44 @@ type CheckpointResult struct {
 	Join       []JoinVariant   `json:"join_while_loaded"`
 }
 
-// ckptRig is a minimal durable kvstore group over simnet, sized so the
-// replicated state is fat enough that a blocking checkpoint stalls
-// measurably.
-type ckptRig struct {
-	net   *simnet.Network
-	dir   string
-	peers map[gcs.MemberID]transport.Addr
-	reps  []*rsm.Replica
-	clis  []*kvstore.Client
-}
-
-func (r *ckptRig) close() {
-	for _, cli := range r.clis {
-		if cli != nil {
-			cli.Close()
-		}
-	}
-	for _, rep := range r.reps {
-		if rep != nil {
-			rep.Close()
-		}
-	}
-	r.net.Close()
-	os.RemoveAll(r.dir)
-}
-
-// startReplica boots member i of the rig (initial non-nil bootstraps
-// the group; nil joins the running one).
-func (r *ckptRig) startReplica(i int, initial []gcs.MemberID, mutate func(*rsm.Config)) error {
-	id := gcs.MemberID(fmt.Sprintf("rep%d", i))
-	groupEP, err := r.net.EndpointWithQueue(r.peers[id], 1<<14)
+// ckptRig boots a durable kvstore group with one spare slot for a
+// joiner and returns it with a client pinned to replica 0.
+func ckptRig(members int, mutate func(*rsm.Config)) (*kvRig, *kvstore.Client, error) {
+	r, err := newKVRig(rigConfig{
+		members:   members,
+		spares:    1,
+		latency:   200 * time.Microsecond,
+		headQueue: 1 << 14,
+		mutate:    mutate,
+	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	clientEP, err := r.net.EndpointWithQueue(transport.Addr(fmt.Sprintf("rep%d/kv", i)), 1<<14)
+	clis, err := r.clients(1, func(int) []int { return []int{0} })
 	if err != nil {
-		return err
+		r.close()
+		return nil, nil, err
 	}
-	store := kvstore.NewStore()
-	cfg := rsm.Config{
-		Self:             id,
-		GroupEndpoint:    groupEP,
-		ClientEndpoint:   clientEP,
-		Peers:            r.peers,
-		InitialMembers:   initial,
-		Service:          store,
-		Classify:         kvstore.Classifier(store),
-		RejectNotPrimary: kvstore.RejectNotPrimary,
-		DataDir:          filepath.Join(r.dir, fmt.Sprintf("rep%d", i)),
-		SyncPolicy:       wal.SyncInterval,
-		TuneGCS: func(g *gcs.Config) {
-			g.Heartbeat = 25 * time.Millisecond
-			g.FailTimeout = 2 * time.Second
-		},
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	rep, err := rsm.Start(cfg)
-	if err != nil {
-		return err
-	}
-	for len(r.reps) <= i {
-		r.reps = append(r.reps, nil)
-		r.clis = append(r.clis, nil)
-	}
-	r.reps[i] = rep
-	return nil
-}
-
-func newCkptRig(members int, mutate func(*rsm.Config)) (*ckptRig, error) {
-	dir, err := os.MkdirTemp("", "joshua-bench-ckpt-")
-	if err != nil {
-		return nil, err
-	}
-	r := &ckptRig{
-		net: simnet.New(simnet.Config{
-			Latency:  simnet.Latency{Remote: 200 * time.Microsecond},
-			QueueLen: 1 << 12,
-		}),
-		dir:   dir,
-		peers: map[gcs.MemberID]transport.Addr{},
-	}
-	// Pre-declare one extra slot so a joiner can be added later.
-	for i := 0; i <= members; i++ {
-		r.peers[gcs.MemberID(fmt.Sprintf("rep%d", i))] = transport.Addr(fmt.Sprintf("rep%d/gcs", i))
-	}
-	initial := make([]gcs.MemberID, members)
-	for i := 0; i < members; i++ {
-		initial[i] = gcs.MemberID(fmt.Sprintf("rep%d", i))
-	}
-	for i := 0; i < members; i++ {
-		if err := r.startReplica(i, initial, mutate); err != nil {
-			r.close()
-			return nil, err
-		}
-	}
-	for i := 0; i < members; i++ {
-		select {
-		case <-r.reps[i].Ready():
-		case <-time.After(30 * time.Second):
-			r.close()
-			return nil, fmt.Errorf("replica %d not ready", i)
-		}
-	}
-	for i := 0; i < members; i++ {
-		ep, err := r.net.Endpoint(transport.Addr(fmt.Sprintf("bencher%d/kv", i)))
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		cli, err := kvstore.NewClient(ep, []transport.Addr{transport.Addr(fmt.Sprintf("rep%d/kv", i))}, 60*time.Second)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.clis[i] = cli
-	}
-	return r, nil
-}
-
-// awaitAddrFree waits until addr can be bound again.
-func (r *ckptRig) awaitAddrFree(addr transport.Addr) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ep, err := r.net.Endpoint(addr)
-		if err == nil {
-			ep.Close()
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("address %s never freed: %v", addr, err)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return r, clis[0], nil
 }
 
 // preload fattens the replicated state: keys values of valBytes each,
 // so a full-state serialize is megabytes, not the handful of bytes a
 // fresh store would encode.
-func (r *ckptRig) preload(keys, valBytes int) error {
+func preload(cli *kvstore.Client, keys, valBytes int) error {
 	val := string(make([]byte, valBytes))
 	for i := 0; i < keys; i++ {
-		if err := r.clis[0].Put(fmt.Sprintf("pre-%06d", i), val); err != nil {
+		if err := cli.Put(fmt.Sprintf("pre-%06d", i), val); err != nil {
 			return fmt.Errorf("preload %d: %w", i, err)
 		}
 	}
 	return nil
+}
+
+// hotPut writes one of 256 small hot keys: the load whose tail the
+// checkpoint boundaries disturb.
+func hotPut(cli *kvstore.Client, prefix string) func(c, i int) error {
+	return func(_, i int) error { return cli.Put(fmt.Sprintf("%s-%06d", prefix, i%256), "v") }
 }
 
 // MeasureCheckpointStall runs the checkpoint-boundary tail-latency
@@ -266,39 +149,33 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 		Samples:         samples,
 		CheckpointEvery: cadence,
 	}
+	offLoop := func(c *rsm.Config) { c.CheckpointEvery = cadence }
+	blocking := func(c *rsm.Config) { c.CheckpointEvery = cadence; c.CheckpointBlocking = true }
 
-	variants := []struct {
+	for _, v := range []struct {
 		name   string
 		mutate func(*rsm.Config)
 	}{
-		{"off-loop", func(c *rsm.Config) { c.CheckpointEvery = cadence }},
-		{"blocking", func(c *rsm.Config) { c.CheckpointEvery = cadence; c.CheckpointBlocking = true }},
+		{"off-loop", offLoop},
+		{"blocking", blocking},
 		{"none", func(c *rsm.Config) { c.CheckpointEvery = 1 << 30 }},
-	}
-	for _, v := range variants {
+	} {
 		cv := CheckpointVariant{Name: v.name}
 		if err := func() error {
-			r, err := newCkptRig(1, v.mutate)
+			r, cli, err := ckptRig(1, v.mutate)
 			if err != nil {
 				return err
 			}
 			defer r.close()
-			if err := r.preload(preloadKeys, valBytes); err != nil {
+			if err := preload(cli, preloadKeys, valBytes); err != nil {
 				return err
 			}
-			lats := make([]time.Duration, samples)
-			for i := 0; i < samples; i++ {
-				t0 := time.Now()
-				if err := r.clis[0].Put(fmt.Sprintf("op-%06d", i%256), "v"); err != nil {
-					return fmt.Errorf("%s put %d: %w", v.name, i, err)
-				}
-				lats[i] = time.Since(t0)
+			d, err := drive(1, samples, nil, hotPut(cli, "op"))
+			if err != nil {
+				return fmt.Errorf("%s put: %w", v.name, err)
 			}
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			cv.SubmitP50 = percentileDur(lats, 0.50)
-			cv.SubmitP99 = percentileDur(lats, 0.99)
-			cv.SubmitP999 = percentileDur(lats, 0.999)
-			cv.SubmitMax = lats[len(lats)-1]
+			lat := summarize(d.lats)
+			cv.SubmitP50, cv.SubmitP99, cv.SubmitP999, cv.SubmitMax = lat.p50, lat.p99, lat.p999, lat.max
 			st := r.reps[0].Stats()
 			cv.CheckpointIndex = st.CheckpointIndex
 			cv.CkptBytes = st.CkptBytes
@@ -310,17 +187,8 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 		}
 		res.Variants = append(res.Variants, cv)
 	}
-	var offloop, none time.Duration
-	for _, v := range res.Variants {
-		switch v.Name {
-		case "off-loop":
-			offloop = v.SubmitP999
-		case "none":
-			none = v.SubmitP999
-		}
-	}
-	if none > 0 {
-		res.StallRatio = float64(offloop) / float64(none)
+	if none := res.Variants[2].SubmitP999; none > 0 {
+		res.StallRatio = float64(res.Variants[0].SubmitP999) / float64(none)
 	}
 
 	// Recovery sweep: the same workload under three cadences, then a
@@ -328,13 +196,12 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 	for _, every := range []uint64{16, 128, 1024} {
 		pt := RecoveryPoint{CheckpointEvery: every}
 		if err := func() error {
-			mutate := func(c *rsm.Config) { c.CheckpointEvery = every }
-			r, err := newCkptRig(1, mutate)
+			r, cli, err := ckptRig(1, func(c *rsm.Config) { c.CheckpointEvery = every })
 			if err != nil {
 				return err
 			}
 			defer r.close()
-			if err := r.preload(512, valBytes); err != nil {
+			if err := preload(cli, 512, valBytes); err != nil {
 				return err
 			}
 			// Let an in-flight background checkpoint settle so each
@@ -343,27 +210,9 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 			for r.reps[0].Stats().CkptInflight && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			r.clis[0].Close()
-			r.clis[0] = nil
-			r.reps[0].Close()
-			// The event loop releases its endpoints asynchronously
-			// after Close; wait until the addresses can be rebound.
-			for _, addr := range []transport.Addr{r.peers["rep0"], "rep0/kv"} {
-				if err := r.awaitAddrFree(addr); err != nil {
-					return err
-				}
+			if pt.RestartTime, err = r.restart(0); err != nil {
+				return fmt.Errorf("cadence %d: %w", every, err)
 			}
-
-			start := time.Now()
-			if err := r.startReplica(0, []gcs.MemberID{"rep0"}, mutate); err != nil {
-				return err
-			}
-			select {
-			case <-r.reps[0].Ready():
-			case <-time.After(60 * time.Second):
-				return fmt.Errorf("cadence %d: replica not ready after restart", every)
-			}
-			pt.RestartTime = time.Since(start)
 			pt.Replayed = r.reps[0].Stats().RecoveryReplayed
 			return nil
 		}(); err != nil {
@@ -380,63 +229,29 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 		name   string
 		mutate func(*rsm.Config)
 	}{
-		{"forked", func(c *rsm.Config) { c.CheckpointEvery = cadence }},
-		{"blocking", func(c *rsm.Config) { c.CheckpointEvery = cadence; c.CheckpointBlocking = true }},
+		{"forked", offLoop},
+		{"blocking", blocking},
 	} {
 		jv := JoinVariant{Name: v.name}
 		if err := func() error {
-			r, err := newCkptRig(2, v.mutate)
+			r, cli, err := ckptRig(2, v.mutate)
 			if err != nil {
 				return err
 			}
 			defer r.close()
-			if err := r.preload(preloadKeys, valBytes); err != nil {
+			if err := preload(cli, preloadKeys, valBytes); err != nil {
 				return err
 			}
-
-			stop := make(chan struct{})
-			done := make(chan []time.Duration)
-			go func() {
-				var lats []time.Duration
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						done <- lats
-						return
-					default:
-					}
-					t0 := time.Now()
-					if err := r.clis[0].Put(fmt.Sprintf("load-%06d", i%256), "v"); err != nil {
-						done <- lats
-						return
-					}
-					lats = append(lats, time.Since(t0))
-				}
-			}()
-
-			start := time.Now()
-			if err := r.startReplica(2, nil, v.mutate); err != nil {
-				close(stop)
-				<-done
+			d, err := drive(1, 0, func() (err error) {
+				jv.JoinTime, err = r.boot(2, nil)
 				return err
+			}, hotPut(cli, "load"))
+			if err != nil {
+				return fmt.Errorf("join with %s donor: %w", v.name, err)
 			}
-			select {
-			case <-r.reps[2].Ready():
-			case <-time.After(60 * time.Second):
-				close(stop)
-				<-done
-				return fmt.Errorf("joiner not ready (%s donor)", v.name)
-			}
-			jv.JoinTime = time.Since(start)
-			close(stop)
-			lats := <-done
-			if len(lats) > 0 {
-				sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-				jv.DonorP99 = percentileDur(lats, 0.99)
-				jv.DonorMax = lats[len(lats)-1]
-			}
-			for i := 0; i < 2; i++ {
-				st := r.reps[i].Stats()
+			lat := summarize(d.lats)
+			jv.DonorP99, jv.DonorMax = lat.p99, lat.max
+			for _, st := range r.stats()[:2] {
 				jv.OutHybrid += st.TransferOutHybrid
 				jv.OutFull += st.TransferOutFull
 			}

@@ -50,11 +50,7 @@ func Fig10(cal Calibration, maxHeads, samples int) ([]Fig10Row, error) {
 	var base time.Duration
 	for i := 0; i <= maxHeads; i++ {
 		plain := i == 0
-		heads := i
-		if plain {
-			heads = 1
-		}
-		sys, err := StartSystem(cal, heads, plain)
+		sys, err := StartSystem(cal, max(i, 1), plain)
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %d heads: %w", i, err)
 		}
@@ -91,14 +87,8 @@ func FormatFig10(rows []Fig10Row, cal Calibration) string {
 		if r.Heads > 0 {
 			over = fmt.Sprintf("%v / %.0f%%", r.Overhead.Round(time.Millisecond/10), r.Percent)
 		}
-		n := "-"
-		if r.Heads > 0 {
-			n = fmt.Sprintf("%d", r.Heads)
-		} else {
-			n = "1"
-		}
-		fmt.Fprintf(&b, "%-18s %-3s %-12v %-22s %v\n",
-			r.System, n, r.Latency.Round(time.Millisecond/10), over, r.PaperLatency)
+		fmt.Fprintf(&b, "%-18s %-3d %-12v %-22s %v\n",
+			r.System, max(r.Heads, 1), r.Latency.Round(time.Millisecond/10), over, r.PaperLatency)
 	}
 	return b.String()
 }
@@ -117,12 +107,7 @@ type Fig11Row struct {
 func Fig11(cal Calibration, maxHeads int, counts []int) ([]Fig11Row, error) {
 	rows := make([]Fig11Row, 0, maxHeads+1)
 	for i := 0; i <= maxHeads; i++ {
-		plain := i == 0
-		heads := i
-		if plain {
-			heads = 1
-		}
-		sys, err := StartSystem(cal, heads, plain)
+		sys, err := StartSystem(cal, max(i, 1), i == 0)
 		if err != nil {
 			return nil, fmt.Errorf("fig11 %d heads: %w", i, err)
 		}
@@ -151,11 +136,7 @@ func FormatFig11(rows []Fig11Row, cal Calibration, counts []int) string {
 	}
 	fmt.Fprintf(&b, "\n")
 	for _, r := range rows {
-		n := "1"
-		if r.Heads > 0 {
-			n = fmt.Sprintf("%d", r.Heads)
-		}
-		fmt.Fprintf(&b, "%-18s %-3s", r.System, n)
+		fmt.Fprintf(&b, "%-18s %-3d", r.System, max(r.Heads, 1))
 		for _, c := range counts {
 			cell := fmt.Sprintf("%.2fs", r.Totals[c].Seconds())
 			if p, ok := r.Paper[c]; ok {
@@ -168,15 +149,18 @@ func FormatFig11(rows []Fig11Row, cal Calibration, counts []int) string {
 	return b.String()
 }
 
+// Fig12Row is one line of the availability table.
+type Fig12Row struct {
+	availability.Row
+	// MonteCarlo is the simulated downtime per year.
+	MonteCarlo time.Duration
+}
+
 // Fig12 reproduces the availability table analytically and
 // cross-checks each row with the Monte-Carlo simulator.
-func Fig12(maxHeads int, mcYears float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 12: Availability/Downtime (MTTF=%v, MTTR=%v)\n",
-		availability.PaperMTTF, availability.PaperMTTR)
-	fmt.Fprintf(&b, "%-3s %-14s %-6s %-16s %s\n", "#", "Availability", "Nines", "Downtime/Year", "Monte-Carlo")
-	rows := availability.Table(availability.PaperMTTF, availability.PaperMTTR, maxHeads)
-	for _, r := range rows {
+func Fig12(maxHeads int, mcYears float64) []Fig12Row {
+	var rows []Fig12Row
+	for _, r := range availability.Table(availability.PaperMTTF, availability.PaperMTTR, maxHeads) {
 		mc := availability.Simulate(availability.SimConfig{
 			Heads: r.Heads,
 			MTTF:  availability.PaperMTTF,
@@ -184,12 +168,24 @@ func Fig12(maxHeads int, mcYears float64) string {
 			Years: mcYears,
 			Seed:  int64(r.Heads),
 		})
+		rows = append(rows, Fig12Row{Row: r, MonteCarlo: mc.Downtime})
+	}
+	return rows
+}
+
+// FormatFig12 renders the Figure 12 table.
+func FormatFig12(rows []Fig12Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 12: Availability/Downtime (MTTF=%v, MTTR=%v)\n",
+		availability.PaperMTTF, availability.PaperMTTR)
+	fmt.Fprintf(&b, "%-3s %-14s %-6s %-16s %s\n", "#", "Availability", "Nines", "Downtime/Year", "Monte-Carlo")
+	for _, r := range rows {
 		fmt.Fprintf(&b, "%-3d %-14s %-6d %-16s %s\n",
 			r.Heads,
 			availability.FormatAvailability(r.Availability),
 			r.Nines,
 			availability.FormatDowntime(r.Downtime),
-			availability.FormatDowntime(mc.Downtime),
+			availability.FormatDowntime(r.MonteCarlo),
 		)
 	}
 	return b.String()

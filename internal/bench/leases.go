@@ -2,8 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"joshua/internal/cluster"
@@ -56,68 +55,35 @@ type LeaseResult struct {
 }
 
 // measureReadPhase drives `readers` clients in back-to-back listing
-// loops against c for the given window and returns the completed
-// count. ordered selects StatAllOrdered (the linearizable listing)
-// over StatAll (the local unordered one).
-func measureReadPhase(c *cluster.Cluster, readers int, window time.Duration, ordered bool) (int64, error) {
+// loops against c for the given window. ordered selects
+// StatAllOrdered (the linearizable listing) over StatAll (the local
+// unordered one).
+func measureReadPhase(c *cluster.Cluster, readers int, window time.Duration, ordered bool) (driven, error) {
 	live := c.LiveHeads()
 	clis := make([]*joshua.Client, readers)
 	var err error
 	for i := range clis {
 		if clis[i], err = c.ClientFor(live...); err != nil {
-			return 0, err
+			return driven{}, err
 		}
 	}
-
-	read := func(cli *joshua.Client) error {
+	read := func(r, _ int) error {
 		if ordered {
-			_, err := cli.StatAllOrdered()
+			_, err := clis[r].StatAllOrdered()
 			return err
 		}
-		_, err := cli.StatAll()
+		_, err := clis[r].StatAll()
 		return err
 	}
-
 	// Warm each client's head book and the read path before timing.
-	for _, cli := range clis {
-		for i := 0; i < 2; i++ {
-			if err := read(cli); err != nil {
-				return 0, err
-			}
-		}
+	if _, err := drive(readers, 2, nil, read); err != nil {
+		return driven{}, err
 	}
-
-	stop := make(chan struct{})
-	errCh := make(chan error, readers)
-	var reads atomic.Int64
-	var wg sync.WaitGroup
-	for _, cli := range clis {
-		wg.Add(1)
-		go func(cli *joshua.Client) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := read(cli); err != nil {
-					errCh <- err
-					return
-				}
-				reads.Add(1)
-			}
-		}(cli)
+	d, err := drive(readers, 0, func() error { time.Sleep(window); return nil }, read)
+	if err != nil {
+		return driven{}, fmt.Errorf("reader: %w", err)
 	}
-	time.Sleep(window)
-	n := reads.Load()
-	close(stop)
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return 0, fmt.Errorf("reader: %w", err)
-	}
-	return n, nil
+	return d, nil
 }
 
 // leaseCounters sums the lease-read counters across live heads.
@@ -130,32 +96,23 @@ func leaseCounters(c *cluster.Cluster) (reads, fallbacks uint64) {
 	return
 }
 
-// leaseCluster boots one measured deployment, seeds the queue, and
-// waits for steady state. leaseDuration < 0 is the broadcast-ordered
-// ablation; 0 enables leases at the group default.
-func leaseCluster(cal Calibration, heads, jobs int, leaseDuration time.Duration) (*cluster.Cluster, error) {
+// leaseCluster boots one measured deployment and seeds the queue.
+// leaseDuration < 0 is the broadcast-ordered ablation; 0 enables
+// leases at the group default.
+func leaseCluster(cal Calibration, heads, jobs int, leaseDuration time.Duration) (*System, error) {
 	opts := cal.options(heads, false)
 	opts.LeaseDuration = leaseDuration
-	c, err := clusterNew(opts)
+	sys, err := startSystem(opts)
 	if err != nil {
-		return nil, err
-	}
-	if err := c.WaitReady(30 * time.Second); err != nil {
-		c.Close()
-		return nil, err
-	}
-	cli, err := c.ClientFor(heads - 1)
-	if err != nil {
-		c.Close()
 		return nil, err
 	}
 	for i := 0; i < jobs; i++ {
-		if err := holdSubmit(cli); err != nil {
-			c.Close()
+		if err := holdSubmit(sys.Client); err != nil {
+			sys.Close()
 			return nil, err
 		}
 	}
-	return c, nil
+	return sys, nil
 }
 
 // MeasureLeases runs the three-way comparison: local unordered and
@@ -171,49 +128,45 @@ func MeasureLeases(cal Calibration, heads, readers, jobs int, window time.Durati
 	}
 	res := LeaseResult{Heads: heads, Readers: readers, Jobs: jobs, Window: window}
 
-	variant := func(name string, c *cluster.Cluster, ordered bool) error {
-		r0, f0 := leaseCounters(c)
-		n, err := measureReadPhase(c, readers, window, ordered)
+	variant := func(name string, sys *System, ordered bool) error {
+		r0, f0 := leaseCounters(sys.Cluster)
+		d, err := measureReadPhase(sys.Cluster, readers, window, ordered)
 		if err != nil {
 			return fmt.Errorf("bench: %s reads: %w", name, err)
 		}
-		r1, f1 := leaseCounters(c)
+		r1, f1 := leaseCounters(sys.Cluster)
 		v := LeaseVariant{
 			Name:           name,
-			Reads:          n,
-			ReadsPerSec:    float64(n) / window.Seconds(),
+			Reads:          int64(d.ops),
+			ReadsPerSec:    d.perSec(),
 			LeaseReads:     r1 - r0,
 			LeaseFallbacks: f1 - f0,
 		}
-		if n > 0 {
-			v.ReadMean = time.Duration(int64(window) * int64(readers) / n)
+		if d.ops > 0 {
+			v.ReadMean = d.elapsed * time.Duration(readers) / time.Duration(d.ops)
 		}
 		res.Variants = append(res.Variants, v)
 		return nil
 	}
 
-	leased, err := leaseCluster(cal, heads, jobs, 0)
-	if err != nil {
-		return res, err
-	}
-	if err := variant("local", leased, false); err != nil {
-		leased.Close()
-		return res, err
-	}
-	if err := variant("leased", leased, true); err != nil {
-		leased.Close()
-		return res, err
-	}
-	leased.Close()
-
-	broadcast, err := leaseCluster(cal, heads, jobs, -1)
-	if err != nil {
-		return res, err
-	}
-	err = variant("broadcast", broadcast, true)
-	broadcast.Close()
-	if err != nil {
-		return res, err
+	for _, phase := range []struct {
+		lease    time.Duration
+		variants []string // "local" reads unordered, the others ordered
+	}{
+		{0, []string{"local", "leased"}},
+		{-1, []string{"broadcast"}},
+	} {
+		sys, err := leaseCluster(cal, heads, jobs, phase.lease)
+		if err != nil {
+			return res, err
+		}
+		for _, name := range phase.variants {
+			if err := variant(name, sys, name != "local"); err != nil {
+				sys.Close()
+				return res, err
+			}
+		}
+		sys.Close()
 	}
 
 	local, lsd, bcast := res.Variants[0], res.Variants[1], res.Variants[2]
@@ -224,4 +177,21 @@ func MeasureLeases(cal Calibration, heads, readers, jobs int, window time.Durati
 		res.LeasedVsBroadcast = lsd.ReadsPerSec / bcast.ReadsPerSec
 	}
 	return res, nil
+}
+
+// FormatLeases renders the comparison for the terminal.
+func FormatLeases(res LeaseResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Read consistency levels (%d readers, %d heads, pure-read phase):\n", res.Readers, res.Heads)
+	for _, v := range res.Variants {
+		extra := ""
+		if v.LeaseReads > 0 || v.LeaseFallbacks > 0 {
+			extra = fmt.Sprintf("   (%d leased, %d fallbacks)", v.LeaseReads, v.LeaseFallbacks)
+		}
+		fmt.Fprintf(&b, "  %-12s %7.0f reads/s   read mean %v%s\n",
+			v.Name+":", v.ReadsPerSec, v.ReadMean.Round(time.Millisecond/10), extra)
+	}
+	fmt.Fprintf(&b, "  leased vs local: %.2fx   leased vs broadcast-ordered: %.1fx\n",
+		res.LeasedVsLocal, res.LeasedVsBroadcast)
+	return b.String()
 }

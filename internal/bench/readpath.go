@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"joshua/internal/joshua"
-	"joshua/internal/pbs"
 	"joshua/internal/rsm"
 )
 
@@ -59,82 +57,47 @@ func MeasureMixedReads(cal Calibration, heads, pollers, batches, batchSize, read
 
 	opts := cal.options(heads, false)
 	opts.ReadConcurrency = readConcurrency
-	c, err := clusterNew(opts)
+	sys, err := startSystem(opts)
 	if err != nil {
 		return res, err
 	}
-	defer c.Close()
-	if err := c.WaitReady(30 * time.Second); err != nil {
-		return res, err
-	}
-
-	submitCli, err := c.ClientFor(heads - 1)
-	if err != nil {
-		return res, err
-	}
-	live := make([]int, heads)
-	for i := range live {
-		live[i] = i
-	}
+	defer sys.Close()
 	pollClients := make([]*joshua.Client, pollers)
 	for p := range pollClients {
-		if pollClients[p], err = c.ClientFor(live...); err != nil {
+		if pollClients[p], err = sys.Cluster.ClientFor(sys.Cluster.LiveHeads()...); err != nil {
 			return res, err
 		}
 	}
 
 	// Seed one job so every listing carries real payload, and warm the
 	// submission path.
-	if err := holdSubmit(submitCli); err != nil {
+	if err := holdSubmit(sys.Client); err != nil {
 		return res, err
 	}
 
-	stop := make(chan struct{})
-	errCh := make(chan error, pollers)
-	var reads atomic.Int64
-	var wg sync.WaitGroup
-	for _, cli := range pollClients {
-		wg.Add(1)
-		go func(cli *joshua.Client) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := cli.StatAll(); err != nil {
-					errCh <- err
-					return
-				}
-				reads.Add(1)
+	var submitting time.Duration
+	d, err := drive(pollers, 0, func() error {
+		start := time.Now()
+		for i := 0; i < batches; i++ {
+			if err := batchSubmit(sys.Client, batchSize); err != nil {
+				return err
 			}
-		}(cli)
-	}
-
-	start := time.Now()
-	for i := 0; i < batches; i++ {
-		if _, err := submitCli.SubmitBatch(pbs.SubmitRequest{Name: "bench", Owner: "bench", Hold: true}, batchSize); err != nil {
-			close(stop)
-			wg.Wait()
-			return res, err
 		}
+		submitting = time.Since(start)
+		return nil
+	}, func(p, _ int) error {
+		_, err := pollClients[p].StatAll()
+		return err
+	})
+	if err != nil {
+		return res, err
 	}
-	elapsed := time.Since(start)
-	n := reads.Load()
-	close(stop)
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return res, fmt.Errorf("poller: %w", err)
+	res.Reads = int64(d.ops)
+	res.ReadsPerSec = d.perSec()
+	if d.ops > 0 {
+		res.ReadMean = d.elapsed * time.Duration(pollers) / time.Duration(d.ops)
 	}
-
-	res.Reads = n
-	res.ReadsPerSec = float64(n) / elapsed.Seconds()
-	if n > 0 {
-		res.ReadMean = time.Duration(int64(elapsed) * int64(pollers) / n)
-	}
-	res.SubmitMean = elapsed / time.Duration(batches)
+	res.SubmitMean = submitting / time.Duration(batches)
 	return res, nil
 }
 
@@ -150,4 +113,25 @@ func AblationReadConcurrency(cal Calibration, heads, pollers, batches, batchSize
 	}
 	onLoop, err = MeasureMixedReads(cal, heads, pollers, batches, batchSize, rsm.ReadOnLoop)
 	return concurrent, onLoop, err
+}
+
+// ReadPathResult is the read-path figure: the mixed workload under
+// the read-worker pool and under the on-loop ablation.
+type ReadPathResult struct {
+	Concurrent MixedReadResult `json:"concurrent"`
+	OnLoop     MixedReadResult `json:"on_loop"`
+}
+
+// FormatReadPath renders the figure for the terminal.
+func FormatReadPath(res ReadPathResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Concurrent read path (%d jstat pollers vs a batched submit stream):\n", res.Concurrent.Pollers)
+	for _, r := range []MixedReadResult{res.Concurrent, res.OnLoop} {
+		fmt.Fprintf(&b, "  %-12s %6.0f reads/s   read mean %-10v batch mean %v\n",
+			r.Variant+":", r.ReadsPerSec, r.ReadMean.Round(time.Millisecond/10), r.SubmitMean.Round(time.Millisecond/10))
+	}
+	if res.OnLoop.ReadsPerSec > 0 {
+		fmt.Fprintf(&b, "  speedup: %.1fx read throughput\n", res.Concurrent.ReadsPerSec/res.OnLoop.ReadsPerSec)
+	}
+	return b.String()
 }

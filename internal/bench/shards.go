@@ -3,8 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"sort"
-	"sync"
+	"strings"
 	"time"
 
 	"joshua/internal/cluster"
@@ -104,7 +103,7 @@ func measureShardVariant(shards, ops, clients int, submitDelay time.Duration) (S
 	const headsPerShard = 2
 	v := ShardVariant{Shards: shards, Heads: headsPerShard}
 
-	c, err := cluster.New(cluster.Options{
+	sys, err := startSystem(cluster.Options{
 		Heads:       headsPerShard,
 		Shards:      shards,
 		Computes:    8, // >= the largest sweep point: every shard owns a node
@@ -118,10 +117,8 @@ func measureShardVariant(shards, ops, clients int, submitDelay time.Duration) (S
 	if err != nil {
 		return v, err
 	}
-	defer c.Close()
-	if err := c.WaitReady(30 * time.Second); err != nil {
-		return v, err
-	}
+	defer sys.Close()
+	c := sys.Cluster
 
 	clis := make([]*joshua.Client, clients)
 	for i := range clis {
@@ -129,74 +126,40 @@ func measureShardVariant(shards, ops, clients int, submitDelay time.Duration) (S
 			return v, err
 		}
 	}
-
-	perClient := ops / clients
-	run := func(warmup bool) ([]time.Duration, error) {
-		var wg sync.WaitGroup
-		errs := make([]error, clients)
-		lats := make([][]time.Duration, clients)
-		n := perClient
-		if warmup {
-			n = 2
-		}
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for k := 0; k < n; k++ {
-					start := time.Now()
-					if err := holdSubmit(clis[i]); err != nil {
-						errs[i] = err
-						return
-					}
-					lats[i] = append(lats[i], time.Since(start))
-				}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		var all []time.Duration
-		for _, l := range lats {
-			all = append(all, l...)
-		}
-		return all, nil
-	}
-
-	if _, err := run(true); err != nil {
+	submit := func(c, _ int) error { return holdSubmit(clis[c]) }
+	if _, err := drive(clients, 2, nil, submit); err != nil {
 		return v, err
 	}
-	start := time.Now()
-	lats, err := run(false)
+	perClient := ops / clients
+	d, err := drive(clients, perClient, nil, submit)
 	if err != nil {
 		return v, err
 	}
-	v.Elapsed = time.Since(start)
-	if v.Elapsed > 0 {
-		v.Throughput = float64(clients*perClient) / v.Elapsed.Seconds()
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	v.SubmitP50 = percentileDur(lats, 0.50)
-	v.SubmitP99 = percentileDur(lats, 0.99)
+	v.Elapsed, v.Throughput = d.elapsed, d.perSec()
+	lat := summarize(d.lats)
+	v.SubmitP50, v.SubmitP99 = lat.p50, lat.p99
 
 	// Every acknowledged submission must appear in the merged
-	// whole-cluster listing — the scatter-gather invariant.
-	jobs, err := clis[0].StatAll()
-	if err != nil {
-		return v, err
-	}
-	v.Listed = len(jobs)
+	// whole-cluster listing — the scatter-gather invariant — and every
+	// shard's replicas must agree. Both are local reads, and a head
+	// may still trail the last acks by a few commands: wait for it.
 	acked := clients*2 + clients*perClient // warmup + timed
-	if v.Listed != acked {
-		return v, fmt.Errorf("scatter-gather listing has %d jobs, %d were acknowledged", v.Listed, acked)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		jobs, err := clis[0].StatAll()
+		if err != nil {
+			return v, err
+		}
+		v.Listed = len(jobs)
+		err = verifyShardReplicas(c)
+		if err == nil && v.Listed != acked {
+			err = fmt.Errorf("scatter-gather listing has %d jobs, %d were acknowledged", v.Listed, acked)
+		}
+		if err == nil || time.Now().After(deadline) {
+			return v, err
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	if err := verifyShardReplicas(c); err != nil {
-		return v, err
-	}
-	return v, nil
 }
 
 // verifyShardReplicas checks that within every shard the replicas'
@@ -233,4 +196,19 @@ func encodeJobTable(jobs []pbs.Job) []byte {
 		pbs.EncodeJob(e, j)
 	}
 	return e.Bytes()
+}
+
+// FormatShards renders the sweep for the terminal.
+func FormatShards(res ShardResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Sharded replication groups (aggregate submit throughput, %d clients, %d heads/shard):\n",
+		res.Clients, res.Variants[0].Heads)
+	for _, v := range res.Variants {
+		fmt.Fprintf(&b, "  %d shard(s): %7.0f jobs/s   p50 %-9v p99 %-9v speedup %.1fx (%d jobs listed)\n",
+			v.Shards, v.Throughput,
+			v.SubmitP50.Round(time.Millisecond/10), v.SubmitP99.Round(time.Millisecond/10),
+			v.Speedup, v.Listed)
+	}
+	fmt.Fprintf(&b, "  speedup at 4 shards: %.1fx vs single group\n", res.SpeedupAt4)
+	return b.String()
 }

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"joshua/internal/wal"
@@ -58,23 +60,16 @@ func MeasureWALPolicies(cal Calibration, heads, samples int) ([]WALPolicyResult,
 				opts.DataDir = dir
 				opts.SyncPolicy = v.policy
 			}
-			c, err := clusterNew(opts)
+			sys, err := startSystem(opts)
 			if err != nil {
 				return err
 			}
-			defer c.Close()
-			if err := c.WaitReady(30 * time.Second); err != nil {
-				return err
-			}
-			cli, err := c.ClientFor(heads - 1)
-			if err != nil {
-				return err
-			}
-			if res.SubmitMean, err = MeasureLatency(cli, samples); err != nil {
+			defer sys.Close()
+			if res.SubmitMean, err = MeasureLatency(sys.Client, samples); err != nil {
 				return err
 			}
 			if v.durable {
-				st := c.Head(heads - 1).Replica().Stats()
+				st := sys.Cluster.Head(heads - 1).Replica().Stats()
 				res.Appends = st.WALAppends
 				res.Fsyncs = st.WALFsyncs
 			}
@@ -85,4 +80,25 @@ func MeasureWALPolicies(cal Calibration, heads, samples int) ([]WALPolicyResult,
 		results = append(results, res)
 	}
 	return results, nil
+}
+
+// FormatWAL renders the fsync-policy rows against the in-memory row.
+func FormatWAL(rows []WALPolicyResult) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "WAL fsync ablation (submission latency, 2 heads):")
+	var base time.Duration
+	for _, r := range rows {
+		if r.Policy == "in-memory" {
+			base = r.SubmitMean
+		}
+		extra := ""
+		if base > 0 && r.Policy != "in-memory" {
+			extra = fmt.Sprintf("   %+.1f%% vs in-memory", 100*(float64(r.SubmitMean)/float64(base)-1))
+		}
+		if r.Appends > 0 {
+			extra += fmt.Sprintf("   (%d appends, %d fsyncs)", r.Appends, r.Fsyncs)
+		}
+		fmt.Fprintf(&b, "  %-12s %-10v%s\n", r.Policy+":", r.SubmitMean.Round(time.Millisecond/10), extra)
+	}
+	return b.String()
 }

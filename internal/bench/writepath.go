@@ -2,19 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
-	"sync"
+	"strings"
 	"time"
 
-	"joshua/internal/gcs"
 	"joshua/internal/rsm"
-	"joshua/internal/rsm/kvstore"
-	"joshua/internal/simnet"
-	"joshua/internal/transport"
-	"joshua/internal/wal"
 )
 
 // This file is the 10k-client scaling profile of the replicated write
@@ -82,155 +74,67 @@ func MeasureWritePath(clients, opsPerClient, heads int) (WritePathResult, error)
 		ApplyConcurrency: runtime.GOMAXPROCS(0),
 	}
 
-	dir, err := os.MkdirTemp("", "joshua-bench-writepath-")
-	if err != nil {
-		return res, err
-	}
-	defer os.RemoveAll(dir)
-
 	// Asymmetric receive queues: a head must absorb the whole fleet's
 	// burst (a drop turns into a client retry timeout that measures
 	// the queue, not the write path), while each client sees a
 	// handful of outstanding replies — so heads get deep queues
 	// explicitly and everyone else stays at a shallow default.
-	net := simnet.New(simnet.Config{
-		Latency:  simnet.Latency{Remote: time.Millisecond},
-		QueueLen: 32,
+	r, err := newKVRig(rigConfig{
+		members:   heads,
+		latency:   time.Millisecond,
+		queueLen:  32,
+		headQueue: 1 << 16,
+		mutate:    func(c *rsm.Config) { c.ReplyQueueLen = 1 << 15 },
 	})
-	defer net.Close()
-	const headQueue = 1 << 16
-
-	peers := map[gcs.MemberID]transport.Addr{}
-	initial := make([]gcs.MemberID, heads)
-	for i := 0; i < heads; i++ {
-		id := gcs.MemberID(fmt.Sprintf("rep%d", i))
-		peers[id] = transport.Addr(fmt.Sprintf("rep%d/gcs", i))
-		initial[i] = id
+	if err != nil {
+		return res, err
 	}
-
-	reps := make([]*rsm.Replica, heads)
-	headAddrs := make([]transport.Addr, heads)
-	for i := 0; i < heads; i++ {
-		groupEP, err := net.EndpointWithQueue(peers[initial[i]], headQueue)
-		if err != nil {
-			return res, err
-		}
-		clientAddr := transport.Addr(fmt.Sprintf("rep%d/kv", i))
-		clientEP, err := net.EndpointWithQueue(clientAddr, headQueue)
-		if err != nil {
-			return res, err
-		}
-		headAddrs[i] = clientAddr
-		store := kvstore.NewStore()
-		rep, err := rsm.Start(rsm.Config{
-			Self:             initial[i],
-			GroupEndpoint:    groupEP,
-			ClientEndpoint:   clientEP,
-			Peers:            peers,
-			InitialMembers:   initial,
-			Service:          store,
-			Classify:         kvstore.Classifier(store),
-			RejectNotPrimary: kvstore.RejectNotPrimary,
-			DataDir:          filepath.Join(dir, fmt.Sprintf("rep%d", i)),
-			SyncPolicy:       wal.SyncInterval,
-			ReplyQueueLen:    1 << 15,
-			TuneGCS: func(g *gcs.Config) {
-				g.Heartbeat = 25 * time.Millisecond
-				g.FailTimeout = time.Second
-			},
-		})
-		if err != nil {
-			return res, err
-		}
-		defer rep.Close()
-		reps[i] = rep
+	defer r.close()
+	kvs, err := r.clients(clients, func(c int) []int { return []int{c % heads} })
+	if err != nil {
+		return res, err
 	}
-	for i := 0; i < heads; i++ {
-		select {
-		case <-reps[i].Ready():
-		case <-time.After(30 * time.Second):
-			return res, fmt.Errorf("replica %d not ready", i)
-		}
+	put := func(tag string) func(c, i int) error {
+		return func(c, i int) error { return kvs[c].Put(fmt.Sprintf("%s-c%05d-k%02d", tag, c, i), "v") }
 	}
-
-	kvs := make([]*kvstore.Client, clients)
-	for c := 0; c < clients; c++ {
-		ep, err := net.Endpoint(transport.Addr(fmt.Sprintf("user%d/kv", c)))
-		if err != nil {
-			return res, err
-		}
-		// Long per-attempt timeout: a retry would double-count the op
-		// (exactly-once still holds, but the latency sample would
-		// measure the timeout, not the path).
-		cli, err := kvstore.NewClient(ep, []transport.Addr{headAddrs[c%heads]}, 60*time.Second)
-		if err != nil {
-			return res, err
-		}
-		defer cli.Close()
-		kvs[c] = cli
-	}
-
-	run := func(n int, tag string, lats []time.Duration) error {
-		var wg sync.WaitGroup
-		errs := make([]error, clients)
-		start := make(chan struct{})
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				<-start
-				for i := 0; i < n; i++ {
-					key := fmt.Sprintf("%s-c%05d-k%02d", tag, c, i)
-					t0 := time.Now()
-					if err := kvs[c].Put(key, "v"); err != nil {
-						errs[c] = err
-						return
-					}
-					if lats != nil {
-						lats[c*n+i] = time.Since(t0)
-					}
-				}
-			}(c)
-		}
-		close(start)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if err := run(1, "warm", nil); err != nil {
+	if _, err := drive(clients, 1, nil, put("warm")); err != nil {
 		return res, err
 	}
 
-	lats := make([]time.Duration, clients*opsPerClient)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
-	if err := run(opsPerClient, "op", lats); err != nil {
+	d, err := drive(clients, opsPerClient, nil, put("op"))
+	if err != nil {
 		return res, err
 	}
-	res.Elapsed = time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	if res.Elapsed > 0 {
-		res.Throughput = float64(res.Ops) / res.Elapsed.Seconds()
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	res.SubmitP50 = percentileDur(lats, 0.50)
-	res.SubmitP99 = percentileDur(lats, 0.99)
+	res.Elapsed, res.Throughput = d.elapsed, d.perSec()
+	lat := summarize(d.lats)
+	res.SubmitP50, res.SubmitP99 = lat.p50, lat.p99
 	res.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
 	res.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Ops)
 	res.GCPauseTotal = time.Duration(after.PauseTotalNs - before.PauseTotalNs)
 	res.NumGC = after.NumGC - before.NumGC
 	res.HeapAllocBytes = after.HeapAlloc
-	for i := 0; i < heads; i++ {
-		st := reps[i].Stats()
+	for _, st := range r.stats() {
 		res.Applied += st.Applied
 		res.ReplyQueueDrops += st.ReplyQueueDrops
 	}
 	return res, nil
+}
+
+// FormatWritePath renders the profile for the terminal.
+func FormatWritePath(res WritePathResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Zero-alloc write path (%d clients x %d puts, %d heads, durable):\n",
+		res.Clients, res.OpsPerClient, res.Heads)
+	fmt.Fprintf(&b, "  throughput: %8.0f ops/s   p50 %-9v p99 %v\n",
+		res.Throughput, res.SubmitP50.Round(time.Millisecond), res.SubmitP99.Round(time.Millisecond))
+	fmt.Fprintf(&b, "  allocs/op:  %8.1f         bytes/op %.0f (process-wide: clients+net+%d replicas)\n",
+		res.AllocsPerOp, res.BytesPerOp, res.Heads)
+	fmt.Fprintf(&b, "  GC: %d cycles, %v paused   heap %0.1f MB   applied %d   reply drops %d\n",
+		res.NumGC, res.GCPauseTotal.Round(time.Millisecond/10),
+		float64(res.HeapAllocBytes)/(1<<20), res.Applied, res.ReplyQueueDrops)
+	return b.String()
 }

@@ -22,7 +22,11 @@ func TestChurnWithRASMetrics(t *testing.T) {
 		t.Skip("multi-second churn run")
 	}
 	const heads = 4
-	c := newCluster(t, testOptions(heads, 1))
+	opts := testOptions(heads, 1)
+	// A client pays one attempt timeout per crashed head it tries;
+	// at the 1s default a single submit can outlast the churn.
+	opts.ClientTimeout = 100 * time.Millisecond
+	c := newCluster(t, opts)
 	tracker := availability.NewTracker(nil)
 	for i := 0; i < heads; i++ {
 		tracker.HeadUp(fmt.Sprintf("head%d", i))
@@ -60,6 +64,7 @@ func TestChurnWithRASMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	deadline := time.Now().Add(3 * time.Second)
 	crashes := 0
+	var beforeCrash int64
 	for time.Now().Before(deadline) {
 		time.Sleep(200 * time.Millisecond)
 		live := c.LiveHeads()
@@ -71,6 +76,9 @@ func TestChurnWithRASMetrics(t *testing.T) {
 		}
 		if len(live) > 1 && (len(dead) == 0 || rng.Intn(2) == 0) {
 			victim := live[rng.Intn(len(live))]
+			if crashes == 0 {
+				beforeCrash = submitted.Load()
+			}
 			c.CrashHead(victim)
 			tracker.HeadDown(fmt.Sprintf("head%d", victim))
 			crashes++
@@ -92,6 +100,10 @@ func TestChurnWithRASMetrics(t *testing.T) {
 	total := int(submitted.Load())
 	if total < 20 {
 		t.Fatalf("only %d submissions went through", total)
+	}
+	// The load must keep flowing across the churn, not just before it.
+	if after := total - int(beforeCrash); after < 20 {
+		t.Fatalf("only %d of %d submissions were acknowledged after the first crash", after, total)
 	}
 
 	// Every live head converges on exactly the submitted set.
