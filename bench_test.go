@@ -27,8 +27,8 @@ import (
 	"joshua/internal/bench"
 	"joshua/internal/codec"
 	"joshua/internal/gcs"
-	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/simnet"
 	"joshua/internal/transport"
 	"joshua/internal/transport/tcpnet"
@@ -147,7 +147,7 @@ func BenchmarkAblation_SafeDelivery_2heads(b *testing.B) {
 
 func BenchmarkAblation_LeaderReplies_2heads(b *testing.B) {
 	cal := bench.PaperCalibration(benchScale)
-	cal.OutputPolicy = joshua.LeaderReplies
+	cal.OutputPolicy = rsm.LeaderReplies
 	sys, err := bench.StartSystem(cal, 2, false)
 	if err != nil {
 		b.Fatal(err)

@@ -143,59 +143,41 @@ func main() {
 		Moms:     conf.ShardMomAddrs(head.Shard),
 	})
 
-	cfg := joshua.Config{
-		Self:           head.MemberID(),
-		GroupEndpoint:  groupEP,
-		ClientEndpoint: clientEP,
-		Peers:          conf.ShardGroupPeers(head.Shard),
-		Daemon:         daemon,
-		Shard:          head.Shard,
-		Shards:         conf.Shards,
-		// Non-FIFO policies advance the scheduler's logical clock on
-		// every completion, so completion reports must take the same
-		// totally ordered path as everything else or replica clocks —
-		// and therefore schedules — would drift apart.
-		OrderedCompletions: schedPolicy != pbs.PolicyFIFO,
-	}
+	// Start from the configuration's engine settings, fill in this
+	// head's own fields, then apply the flag overrides on top.
+	eng := conf.Engine
+	eng.Self = head.MemberID()
+	eng.GroupEndpoint = groupEP
+	eng.ClientEndpoint = clientEP
+	eng.Peers = conf.ShardGroupPeers(head.Shard)
 	if *verbose {
-		cfg.Logger = log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds)
+		eng.Logger = log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds)
 	}
-
 	root := conf.DataDir
 	if *dataDir != "" {
 		root = *dataDir
 	}
 	if root != "" {
-		cfg.DataDir = filepath.Join(root, *id)
+		eng.DataDir = filepath.Join(root, *id)
 	}
-	policy := conf.SyncPolicy
 	if *syncPolicy != "" {
-		policy = *syncPolicy
-	}
-	if policy != "" {
-		p, err := wal.ParseSyncPolicy(policy)
-		if err != nil {
+		if eng.SyncPolicy, err = wal.ParseSyncPolicy(*syncPolicy); err != nil {
 			cli.Fatalf("joshuad: %v", err)
 		}
-		cfg.SyncPolicy = p
 	}
-	cfg.CheckpointEvery = conf.CheckpointEvery
 	if *ckptEvery != 0 {
-		cfg.CheckpointEvery = *ckptEvery
+		eng.CheckpointEvery = *ckptEvery
 	}
-	cfg.CheckpointCompress = conf.CheckpointCompress || *ckptCompress
-	cfg.CheckpointBlocking = *ckptBlocking
-	cfg.DeltaMaxBytes = conf.DeltaMaxBytes
+	eng.CheckpointCompress = eng.CheckpointCompress || *ckptCompress
+	eng.CheckpointBlocking = *ckptBlocking
 	if *deltaMax != 0 {
-		cfg.DeltaMaxBytes = *deltaMax
+		eng.DeltaMaxBytes = *deltaMax
 	}
-	cfg.ApplyConcurrency = conf.ApplyConcurrency
 	if *applyConc != 0 {
-		cfg.ApplyConcurrency = *applyConc
+		eng.ApplyConcurrency = *applyConc
 	}
-	cfg.LeaseDuration = conf.LeaseDuration
 	if *leaseDur != 0 {
-		cfg.LeaseDuration = *leaseDur
+		eng.LeaseDuration = *leaseDur
 	}
 	switch *mode {
 	case "static":
@@ -203,18 +185,28 @@ func main() {
 		// are independent groups.
 		for _, h := range conf.Heads {
 			if h.Shard == head.Shard {
-				cfg.InitialMembers = append(cfg.InitialMembers, h.MemberID())
+				eng.InitialMembers = append(eng.InitialMembers, h.MemberID())
 			}
 		}
 	case "bootstrap":
-		cfg.Bootstrap = true
+		eng.Bootstrap = true
 	case "join":
 		// neither static members nor bootstrap: join via Peers
 	default:
 		cli.Fatalf("joshuad: unknown -mode %q", *mode)
 	}
 
-	server, err := joshua.StartServer(cfg)
+	server, err := joshua.StartServer(joshua.Config{
+		Engine: eng,
+		Daemon: daemon,
+		Shard:  head.Shard,
+		Shards: conf.Shards,
+		// Non-FIFO policies advance the scheduler's logical clock on
+		// every completion, so completion reports must take the same
+		// totally ordered path as everything else or replica clocks —
+		// and therefore schedules — would drift apart.
+		OrderedCompletions: schedPolicy != pbs.PolicyFIFO,
+	})
 	if err != nil {
 		cli.Fatalf("joshuad: %v", err)
 	}

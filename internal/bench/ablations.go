@@ -9,6 +9,7 @@ import (
 	"joshua/internal/cluster"
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 )
 
 // This file measures the design-choice ablations DESIGN.md calls out.
@@ -63,7 +64,7 @@ func AblationSafeDelivery(cal Calibration, heads, samples int) (AblationResult, 
 func AblationOutputPolicy(cal Calibration, heads, samples int) (AblationResult, error) {
 	return pair("output mutual exclusion", []string{"origin-replies", "leader-replies"}, func(i int) (time.Duration, error) {
 		c := cal
-		c.OutputPolicy = []joshua.OutputPolicy{joshua.OriginReplies, joshua.LeaderReplies}[i]
+		c.OutputPolicy = []rsm.OutputPolicy{rsm.OriginReplies, rsm.LeaderReplies}[i]
 		return latencyOf(c, heads, samples)
 	})
 }
@@ -89,8 +90,7 @@ func AblationBatchSubmission(cal Calibration, heads, n int) (AblationResult, err
 // read lease the ordered read is served locally too, and the pair
 // would time two local reads) and submits one held job to read.
 func readProbe(cal Calibration, heads int) (*System, pbs.JobID, error) {
-	opts := cal.options(heads, false)
-	opts.LeaseDuration = -1
+	opts := cal.options(heads, false, func(c *rsm.Config) { c.LeaseDuration = -1 })
 	sys, err := startSystem(opts)
 	if err != nil {
 		return nil, "", err

@@ -22,6 +22,7 @@ import (
 	"joshua/internal/gcs"
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/simnet"
 )
 
@@ -47,7 +48,7 @@ type Calibration struct {
 	Agreed bool
 	// OutputPolicy selects which head relays command output (the
 	// output-mutual-exclusion ablation).
-	OutputPolicy joshua.OutputPolicy
+	OutputPolicy rsm.OutputPolicy
 	// OrderedCompletions routes mom completion reports through the
 	// total order (the deterministic-allocation extension).
 	OrderedCompletions bool
@@ -104,17 +105,25 @@ func (cal Calibration) tune(c *gcs.Config) {
 }
 
 // options builds the cluster configuration for one measured system.
-func (cal Calibration) options(heads int, plain bool) cluster.Options {
+// engine, if given, adjusts the heads' engine configuration after the
+// calibration's own settings.
+func (cal Calibration) options(heads int, plain bool, engine ...func(*rsm.Config)) cluster.Options {
 	return cluster.Options{
-		Heads:        heads,
-		Computes:     1,
-		Exclusive:    true,
-		Latency:      cal.Latency,
-		TxTime:       cal.TxTime,
-		SubmitDelay:  cal.SubmitDelay,
-		Plain:        plain,
-		OutputPolicy: cal.OutputPolicy,
-		TuneGCS:      cal.tune,
+		Heads:              heads,
+		Computes:           1,
+		Exclusive:          true,
+		Latency:            cal.Latency,
+		TxTime:             cal.TxTime,
+		SubmitDelay:        cal.SubmitDelay,
+		Plain:              plain,
+		OrderedCompletions: cal.OrderedCompletions,
+		TuneGCS:            cal.tune,
+		Engine: func(c *rsm.Config) {
+			c.OutputPolicy = cal.OutputPolicy
+			for _, f := range engine {
+				f(c)
+			}
+		},
 	}
 }
 

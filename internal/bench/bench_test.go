@@ -146,7 +146,7 @@ func TestAblationOutputPolicy(t *testing.T) {
 	}
 	// Both policies must work; no strict ordering asserted (it depends
 	// on which head the client is pinned to).
-	_ = joshua.LeaderReplies
+	_ = rsm.LeaderReplies
 }
 
 func TestAblationExclusiveScheduling(t *testing.T) {
@@ -208,8 +208,7 @@ func TestMixedReadConcurrencyShape(t *testing.T) {
 // benchmarkMixedReads reports per-listing latency with a batched
 // submit stream occupying the replication loop in the background.
 func benchmarkMixedReads(b *testing.B, readConcurrency int) {
-	opts := tiny().options(2, false)
-	opts.ReadConcurrency = readConcurrency
+	opts := tiny().options(2, false, func(c *rsm.Config) { c.ReadConcurrency = readConcurrency })
 	sys, err := startSystem(opts)
 	if err != nil {
 		b.Fatal(err)

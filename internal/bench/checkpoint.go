@@ -53,14 +53,20 @@ type JoinVariant struct {
 	// (checkpoints written on the event loop). Either donor serves the
 	// join off the loop: checkpoint image + WAL suffix streamed by a
 	// background goroutine.
-	Name     string        `json:"name"`
+	Name string `json:"name"`
+	// Joins is how many fresh-rig joins the figure pooled; JoinTime is
+	// their median time to Ready.
+	Joins    int           `json:"joins"`
 	JoinTime time.Duration `json:"join_time_ns"`
-	// Donor-observed put latency while the join was in flight.
-	DonorP99  time.Duration `json:"donor_p99_ns"`
-	DonorMax  time.Duration `json:"donor_max_ns"`
-	OutHybrid uint64        `json:"transfer_out_hybrid"`
-	OutFull   uint64        `json:"transfer_out_full"`
-	InBytes   uint64        `json:"joiner_in_bytes"`
+	// Donor-observed put latency while the joins were in flight, over
+	// DonorSamples puts from donorClients concurrent callers.
+	DonorSamples int           `json:"donor_samples"`
+	DonorP99     time.Duration `json:"donor_p99_ns"`
+	DonorMax     time.Duration `json:"donor_max_ns"`
+	// Transfer accounting, summed over the joins.
+	OutHybrid uint64 `json:"transfer_out_hybrid"`
+	OutFull   uint64 `json:"transfer_out_full"`
+	InBytes   uint64 `json:"joiner_in_bytes"`
 }
 
 // CheckpointResult is the complete checkpoint/state-transfer figure.
@@ -77,6 +83,18 @@ type CheckpointResult struct {
 	Recovery   []RecoveryPoint `json:"recovery_sweep"`
 	Join       []JoinVariant   `json:"join_while_loaded"`
 }
+
+// The join-while-loaded donor sample: donorClients callers put
+// concurrently for as long as a join runs, and the join is repeated
+// on a fresh rig (at most maxJoins times) until the donor has taken
+// minDonorSamples puts, so that at least 10 lie beyond the p99 and it
+// is not simply the slowest put. Puts stall through the join's view
+// change, so one join yields only a few hundred.
+const (
+	donorClients    = 32
+	minDonorSamples = 1000
+	maxJoins        = 16
+)
 
 // ckptRig boots a durable kvstore group with one spare slot for a
 // joiner and returns it with a client pinned to replica 0.
@@ -112,10 +130,10 @@ func preload(cli *kvstore.Client, keys, valBytes int) error {
 	return nil
 }
 
-// hotPut writes one of 256 small hot keys: the load whose tail the
-// checkpoint boundaries disturb.
-func hotPut(cli *kvstore.Client, prefix string) func(c, i int) error {
-	return func(_, i int) error { return cli.Put(fmt.Sprintf("%s-%06d", prefix, i%256), "v") }
+// hotPut has caller c write one of 256 small hot keys through
+// clis[c]: the load whose tail the checkpoint boundaries disturb.
+func hotPut(clis []*kvstore.Client, prefix string) func(c, i int) error {
+	return func(c, i int) error { return clis[c].Put(fmt.Sprintf("%s-%06d", prefix, i%256), "v") }
 }
 
 // MeasureCheckpointStall runs the checkpoint-boundary tail-latency
@@ -170,7 +188,7 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 			if err := preload(cli, preloadKeys, valBytes); err != nil {
 				return err
 			}
-			d, err := drive(1, samples, nil, hotPut(cli, "op"))
+			d, err := drive(1, samples, nil, hotPut([]*kvstore.Client{cli}, "op"))
 			if err != nil {
 				return fmt.Errorf("%s put: %w", v.name, err)
 			}
@@ -233,33 +251,49 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 		{"blocking", blocking},
 	} {
 		jv := JoinVariant{Name: v.name}
-		if err := func() error {
-			r, cli, err := ckptRig(2, v.mutate)
-			if err != nil {
-				return err
+		var lats, joinTimes []time.Duration
+		for jv.Joins < maxJoins && len(lats) < minDonorSamples {
+			if err := func() error {
+				r, cli, err := ckptRig(2, v.mutate)
+				if err != nil {
+					return err
+				}
+				defer r.close()
+				if err := preload(cli, preloadKeys, valBytes); err != nil {
+					return err
+				}
+				load, err := r.clients(donorClients, func(int) []int { return []int{0} })
+				if err != nil {
+					return err
+				}
+				var joinTime time.Duration
+				d, err := drive(donorClients, 0, func() (err error) {
+					joinTime, err = r.boot(2, nil)
+					return err
+				}, hotPut(load, "load"))
+				if err != nil {
+					return fmt.Errorf("join with %s donor: %w", v.name, err)
+				}
+				jv.Joins++
+				lats = append(lats, d.lats...)
+				joinTimes = append(joinTimes, joinTime)
+				for _, st := range r.stats()[:2] {
+					jv.OutHybrid += st.TransferOutHybrid
+					jv.OutFull += st.TransferOutFull
+				}
+				jv.InBytes += r.reps[2].Stats().TransferInBytes
+				return nil
+			}(); err != nil {
+				return res, err
 			}
-			defer r.close()
-			if err := preload(cli, preloadKeys, valBytes); err != nil {
-				return err
-			}
-			d, err := drive(1, 0, func() (err error) {
-				jv.JoinTime, err = r.boot(2, nil)
-				return err
-			}, hotPut(cli, "load"))
-			if err != nil {
-				return fmt.Errorf("join with %s donor: %w", v.name, err)
-			}
-			lat := summarize(d.lats)
-			jv.DonorP99, jv.DonorMax = lat.p99, lat.max
-			for _, st := range r.stats()[:2] {
-				jv.OutHybrid += st.TransferOutHybrid
-				jv.OutFull += st.TransferOutFull
-			}
-			jv.InBytes = r.reps[2].Stats().TransferInBytes
-			return nil
-		}(); err != nil {
-			return res, err
 		}
+		if len(lats) < minDonorSamples {
+			return res, fmt.Errorf("join with %s donor: %d puts over %d joins, need %d for a p99",
+				v.name, len(lats), jv.Joins, minDonorSamples)
+		}
+		lat := summarize(lats)
+		jv.DonorSamples, jv.DonorP99, jv.DonorMax = len(lats), lat.p99, lat.max
+		jv.JoinTime = summarize(joinTimes).p50
 		res.Join = append(res.Join, jv)
 	}
 	return res, nil
@@ -289,10 +323,10 @@ func FormatCheckpoint(res CheckpointResult) string {
 	}
 	s += "Join while loaded (fresh joiner, donor under continuous writes):\n"
 	for _, jv := range res.Join {
-		s += fmt.Sprintf("  %-10s join %-10v donor p99 %-9v max %-9v (hybrid=%d full=%d, %d KB in)\n",
+		s += fmt.Sprintf("  %-10s join p50 %-10v donor p99 %-9v max %-9v over %d puts in %d joins (hybrid=%d full=%d, %d KB in)\n",
 			jv.Name+":", jv.JoinTime.Round(time.Millisecond),
 			jv.DonorP99.Round(time.Millisecond/100), jv.DonorMax.Round(time.Millisecond/100),
-			jv.OutHybrid, jv.OutFull, jv.InBytes/1024)
+			jv.DonorSamples, jv.Joins, jv.OutHybrid, jv.OutFull, jv.InBytes/1024)
 	}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 
 	"joshua/internal/cluster"
 	"joshua/internal/joshua"
+	"joshua/internal/rsm"
 )
 
 // This file measures the three read consistency levels side by side
@@ -89,7 +90,7 @@ func measureReadPhase(c *cluster.Cluster, readers int, window time.Duration, ord
 // leaseCounters sums the lease-read counters across live heads.
 func leaseCounters(c *cluster.Cluster) (reads, fallbacks uint64) {
 	for _, i := range c.LiveHeads() {
-		st := c.Head(i).Stats()
+		st := c.Head(i).Replica().Stats()
 		reads += st.LeaseReads
 		fallbacks += st.LeaseFallbacks
 	}
@@ -100,8 +101,7 @@ func leaseCounters(c *cluster.Cluster) (reads, fallbacks uint64) {
 // leaseDuration < 0 is the broadcast-ordered ablation; 0 enables
 // leases at the group default.
 func leaseCluster(cal Calibration, heads, jobs int, leaseDuration time.Duration) (*System, error) {
-	opts := cal.options(heads, false)
-	opts.LeaseDuration = leaseDuration
+	opts := cal.options(heads, false, func(c *rsm.Config) { c.LeaseDuration = leaseDuration })
 	sys, err := startSystem(opts)
 	if err != nil {
 		return nil, err

@@ -55,8 +55,7 @@ func MeasureMixedReads(cal Calibration, heads, pollers, batches, batchSize, read
 		res.Variant = "on-loop"
 	}
 
-	opts := cal.options(heads, false)
-	opts.ReadConcurrency = readConcurrency
+	opts := cal.options(heads, false, func(c *rsm.Config) { c.ReadConcurrency = readConcurrency })
 	sys, err := startSystem(opts)
 	if err != nil {
 		return res, err

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"joshua/internal/rsm"
 	"joshua/internal/wal"
 )
 
@@ -50,7 +51,7 @@ func MeasureWALPolicies(cal Calibration, heads, samples int) ([]WALPolicyResult,
 	for _, v := range variants {
 		res := WALPolicyResult{Policy: v.name}
 		if err := func() error {
-			opts := cal.options(heads, false)
+			opts := cal.options(heads, false, func(c *rsm.Config) { c.SyncPolicy = v.policy })
 			if v.durable {
 				dir, err := os.MkdirTemp("", "joshua-bench-wal-")
 				if err != nil {
@@ -58,7 +59,6 @@ func MeasureWALPolicies(cal Calibration, heads, samples int) ([]WALPolicyResult,
 				}
 				defer os.RemoveAll(dir)
 				opts.DataDir = dir
-				opts.SyncPolicy = v.policy
 			}
 			sys, err := startSystem(opts)
 			if err != nil {

@@ -28,6 +28,7 @@ import (
 	"joshua/internal/gcs"
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/shard"
 	"joshua/internal/simnet"
 	"joshua/internal/transport"
@@ -84,9 +85,6 @@ type Options struct {
 	NodeMem  int64
 	// TimeScale scales simulated job wall time on the moms.
 	TimeScale float64
-	// OutputPolicy, PartitionPolicy forward to the JOSHUA servers.
-	OutputPolicy    joshua.OutputPolicy
-	PartitionPolicy gcs.PartitionPolicy
 	// TuneGCS adjusts group communication timings (tests shorten).
 	TuneGCS func(*gcs.Config)
 	// Logger receives diagnostics from all components.
@@ -102,20 +100,6 @@ type Options struct {
 	// OrderedCompletions routes mom completion reports through the
 	// total order (see joshua.Config.OrderedCompletions).
 	OrderedCompletions bool
-	// ReadConcurrency forwards to joshua.Config.ReadConcurrency: the
-	// per-head read-worker pool size (0 = engine default,
-	// rsm.ReadOnLoop = serve queries on the event loop).
-	ReadConcurrency int
-	// ApplyConcurrency forwards to joshua.Config.ApplyConcurrency: the
-	// per-head apply-worker pool size for the pipelined write path
-	// (0 = engine default, rsm.ApplyOnLoop = the serial
-	// apply-then-blocking-commit ablation).
-	ApplyConcurrency int
-	// LeaseDuration forwards to joshua.Config.LeaseDuration: the
-	// sequencer-granted read-lease length (0 = enabled with the group
-	// layer's default, negative = disabled, the broadcast-ordered
-	// ablation).
-	LeaseDuration time.Duration
 	// ClientTimeout is the per-head attempt timeout for clients made
 	// by Client/ClientFor (0 = 1s). Stress tests shorten it so a
 	// client discovers the dead entries of the static head book
@@ -130,18 +114,13 @@ type Options struct {
 	// DataDir/s<s>head<i>, enabling crash recovery via RestartHeads.
 	// Empty keeps heads purely in-memory.
 	DataDir string
-	// SyncPolicy, SyncInterval, CheckpointEvery forward to each head's
-	// durability layer (see joshua.Config).
-	SyncPolicy      wal.SyncPolicy
-	SyncInterval    time.Duration
-	CheckpointEvery uint64
-	// CheckpointBlocking writes checkpoints synchronously on the event
-	// loop (the stall ablation); CheckpointCompress flate-compresses
-	// checkpoint files; DeltaMaxBytes caps the WAL-suffix state
-	// transfer (see joshua.Config).
-	CheckpointBlocking bool
-	CheckpointCompress bool
-	DeltaMaxBytes      int64
+	// Engine, when non-nil, adjusts every head's replication-engine
+	// configuration (output and partition policy, read and apply
+	// pools, leases, WAL and checkpoint settings; see rsm.Config). It
+	// runs after the per-head fields (identity, endpoints, peers,
+	// group formation, data directory, TuneGCS, Logger) are filled in,
+	// for every head start: New, AddHeadOf and RestartHeadsOf.
+	Engine func(*rsm.Config)
 }
 
 // headKey addresses one head: replication group s, slot i.
@@ -368,34 +347,28 @@ func (c *Cluster) startHead(s, i int, initial []gcs.MemberID, join bool) error {
 		return nil
 	}
 
-	cfg := joshua.Config{
-		Self:               headMember(s, i),
-		GroupEndpoint:      groupEP,
-		ClientEndpoint:     clientEP,
-		Peers:              groupPeers(s),
-		PartitionPolicy:    c.opts.PartitionPolicy,
-		Daemon:             daemon,
-		OutputPolicy:       c.opts.OutputPolicy,
-		OrderedCompletions: c.opts.OrderedCompletions,
-		ReadConcurrency:    c.opts.ReadConcurrency,
-		ApplyConcurrency:   c.opts.ApplyConcurrency,
-		LeaseDuration:      c.opts.LeaseDuration,
-		Shard:              s,
-		Shards:             c.shards,
-		TuneGCS:            c.opts.TuneGCS,
-		Logger:             c.opts.Logger,
-		DataDir:            c.headDataDir(s, i),
-		SyncPolicy:         c.opts.SyncPolicy,
-		SyncInterval:       c.opts.SyncInterval,
-		CheckpointEvery:    c.opts.CheckpointEvery,
-		CheckpointBlocking: c.opts.CheckpointBlocking,
-		CheckpointCompress: c.opts.CheckpointCompress,
-		DeltaMaxBytes:      c.opts.DeltaMaxBytes,
+	eng := rsm.Config{
+		Self:           headMember(s, i),
+		GroupEndpoint:  groupEP,
+		ClientEndpoint: clientEP,
+		Peers:          groupPeers(s),
+		DataDir:        c.headDataDir(s, i),
+		TuneGCS:        c.opts.TuneGCS,
+		Logger:         c.opts.Logger,
 	}
 	if !join {
-		cfg.InitialMembers = initial
+		eng.InitialMembers = initial
 	}
-	head, err := joshua.StartServer(cfg)
+	if c.opts.Engine != nil {
+		c.opts.Engine(&eng)
+	}
+	head, err := joshua.StartServer(joshua.Config{
+		Engine:             eng,
+		Daemon:             daemon,
+		Shard:              s,
+		Shards:             c.shards,
+		OrderedCompletions: c.opts.OrderedCompletions,
+	})
 	if err != nil {
 		daemon.Close()
 		groupEP.Close()

@@ -10,6 +10,7 @@ import (
 	"joshua/internal/gcs"
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/simnet"
 )
 
@@ -491,7 +492,7 @@ func TestSignalReplicated(t *testing.T) {
 
 func TestMajorityPartitionRejectsMinority(t *testing.T) {
 	opts := testOptions(3, 1)
-	opts.PartitionPolicy = gcs.Majority
+	opts.Engine = func(c *rsm.Config) { c.PartitionPolicy = gcs.Majority }
 	c := newCluster(t, opts)
 
 	// Cut head2 off from heads 0 and 1.
@@ -568,7 +569,7 @@ func TestConcurrentClientsConsistency(t *testing.T) {
 
 func TestOutputPolicyLeader(t *testing.T) {
 	opts := testOptions(3, 1)
-	opts.OutputPolicy = joshua.LeaderReplies
+	opts.Engine = func(c *rsm.Config) { c.OutputPolicy = rsm.LeaderReplies }
 	c := newCluster(t, opts)
 	cli, _ := c.Client()
 	j, err := cli.Submit(pbs.SubmitRequest{WallTime: time.Millisecond})
@@ -586,10 +587,10 @@ func TestOutputPolicyLeader(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	var replied int64
 	for _, i := range c.LiveHeads() {
-		st := c.Head(i).Stats()
+		st := c.Head(i).Replica().Stats()
 		replied += int64(st.Replied) - int64(st.LocalReads) - int64(st.DedupHits)
 	}
-	intercepted := int64(c.Head(0).Stats().Applied) // same at all heads
+	intercepted := int64(c.Head(0).Replica().Stats().Applied) // same at all heads
 	if replied > intercepted+1 {
 		t.Errorf("replies = %d for %d commands; leader policy should reply once per command", replied, intercepted)
 	}

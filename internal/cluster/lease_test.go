@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 )
 
 // leaseStats sums the lease counters across a cluster's live heads.
 func leaseStats(c *Cluster) (reads, fallbacks, revocations uint64, held int) {
 	for _, i := range c.LiveHeads() {
-		st := c.Head(i).Stats()
+		st := c.Head(i).Replica().Stats()
 		reads += st.LeaseReads
 		fallbacks += st.LeaseFallbacks
 		revocations += st.LeaseRevocations
@@ -73,7 +74,7 @@ func TestLeasedReadsServeLocally(t *testing.T) {
 func TestLeaseExpiryFallsBackToBroadcast(t *testing.T) {
 	opts := testOptions(2, 1)
 	opts.ClientTimeout = 50 * time.Millisecond
-	opts.LeaseDuration = time.Nanosecond
+	opts.Engine = func(c *rsm.Config) { c.LeaseDuration = time.Nanosecond }
 	c := newCluster(t, opts)
 
 	cli, err := c.Client()

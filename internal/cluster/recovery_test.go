@@ -11,6 +11,7 @@ import (
 
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/wal"
 )
 
@@ -20,7 +21,7 @@ import (
 func durableOptions(t *testing.T, heads, computes int) Options {
 	o := testOptions(heads, computes)
 	o.DataDir = t.TempDir()
-	o.SyncPolicy = wal.SyncAlways
+	o.Engine = func(c *rsm.Config) { c.SyncPolicy = wal.SyncAlways }
 	o.ClientTimeout = 250 * time.Millisecond
 	return o
 }
@@ -218,7 +219,7 @@ func TestRejoinDeltaSmallerThanFullTransfer(t *testing.T) {
 // semantics must hold across the crash.
 func TestRecoveryAfterTornCheckpointTmp(t *testing.T) {
 	o := durableOptions(t, 2, 1)
-	o.CheckpointEvery = 4
+	o.Engine = func(c *rsm.Config) { c.SyncPolicy = wal.SyncAlways; c.CheckpointEvery = 4 }
 	c := newCluster(t, o)
 	cli, err := c.ClientFor(0, 1)
 	if err != nil {
@@ -317,4 +318,40 @@ func TestRecoveryAfterTornCheckpointTmp(t *testing.T) {
 	if granted, err := cli2.JMutex(lockID, "winner"); err != nil || !granted {
 		t.Fatalf("winner retry after recovery = %v, %v", granted, err)
 	}
+}
+
+// TestEngineHookReachesEveryHead checks that Options.Engine configures
+// every head the cluster starts, not only the initial ones: a head
+// added to the running group, and every head of a whole-group restart
+// from disk (the freshest one bootstrapped, the others joined).
+func TestEngineHookReachesEveryHead(t *testing.T) {
+	o := testOptions(2, 1)
+	o.DataDir = t.TempDir()
+	o.Engine = func(c *rsm.Config) { c.ReadConcurrency = 3 }
+	c := newCluster(t, o)
+	check := func(started string, heads ...int) {
+		t.Helper()
+		if err := c.WaitReady(15 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range heads {
+			if n := c.Head(i).Replica().Stats().ReadWorkers; n != 3 {
+				t.Errorf("head%d started by %s runs %d read workers, want 3", i, started, n)
+			}
+		}
+	}
+	check("New", 0, 1)
+
+	if err := c.AddHead(2); err != nil {
+		t.Fatal(err)
+	}
+	check("AddHeadOf", 2)
+
+	for _, i := range c.LiveHeads() {
+		c.CrashHead(i)
+	}
+	if err := c.RestartHeads(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("RestartHeadsOf", 0, 1, 2)
 }

@@ -8,8 +8,10 @@ import (
 
 	"joshua/internal/gcs"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/transport"
 	"joshua/internal/transport/tcpnet"
+	"joshua/internal/wal"
 )
 
 // ClusterFile is the deployment description used by the joshuad,
@@ -56,30 +58,16 @@ type ClusterFile struct {
 	// checkpoints under <data_dir>/<head name> ("data_dir", globally
 	// or under [options]). Empty runs heads purely in-memory.
 	DataDir string
-	// SyncPolicy is the WAL fsync policy: "always", "interval", or
-	// "none" ("sync_policy"; default "interval").
-	SyncPolicy string
-	// CheckpointEvery is the applied-command cadence between
-	// checkpoints ("checkpoint_every"; 0 = engine default).
-	CheckpointEvery uint64
-	// CheckpointCompress enables flate compression of checkpoint
-	// files ("checkpoint_compress" under [options]).
-	CheckpointCompress bool
-	// DeltaMaxBytes caps the WAL-suffix state-transfer size
-	// ("delta_max_bytes" under [options]; 0 = engine default 64 MiB,
-	// negative = unlimited).
-	DeltaMaxBytes int64
-	// ApplyConcurrency sizes each head's apply-worker pool
-	// ("apply_concurrency" under [options]; 0 = engine default, any
-	// negative value = the serial apply-then-blocking-commit ablation).
-	ApplyConcurrency int
-	// LeaseDuration is the sequencer-granted read-lease length
-	// ("lease_duration", globally or under [options], a Go duration
-	// like "500ms", or "off"). Zero (the default) enables leasing at
-	// the group engine's default length; "off" (or any negative
-	// duration) disables leases, sending every ordered read through
-	// the total order.
-	LeaseDuration time.Duration
+	// Engine holds the replication-engine keys, all under [options]
+	// except sync_policy and lease_duration, which may also be
+	// global: sync_policy (always, interval or none; default
+	// interval), checkpoint_every, checkpoint_compress,
+	// delta_max_bytes, apply_concurrency and lease_duration (a Go
+	// duration, or "off" to send every ordered read through the total
+	// order). Zero values select the engine defaults; see rsm.Config
+	// for each knob. The per-head fields (identity, endpoints, peers,
+	// data directory) are left for the head to fill in.
+	Engine rsm.Config
 
 	// explicitComputes records whether the compute shard placement
 	// came from the file (every section declared "shard = N") or was
@@ -128,20 +116,31 @@ func (c ComputeDecl) MomAddr() transport.Addr {
 // MemberID returns the head's group member identity.
 func (h HeadDecl) MemberID() gcs.MemberID { return gcs.MemberID(h.Name) }
 
-// parseLeaseDuration interprets the "lease_duration" key: a Go
-// duration string, or "off"/"disabled" for the broadcast-only
-// ablation (mapped to -1, which the engine treats as leasing
-// disabled).
-func parseLeaseDuration(v string) (time.Duration, error) {
-	switch v {
+// parseEngine sets the engine keys that may appear both globally and
+// under [options]; an empty value leaves the field as it is. The
+// "lease_duration" key is a Go duration string, or "off"/"disabled"
+// for the broadcast-only ablation (mapped to -1, which the engine
+// treats as leasing disabled).
+func (c *ClusterFile) parseEngine(syncPolicy, leaseDuration string) error {
+	if syncPolicy != "" {
+		p, err := wal.ParseSyncPolicy(syncPolicy)
+		if err != nil {
+			return fmt.Errorf("config: %w", err)
+		}
+		c.Engine.SyncPolicy = p
+	}
+	switch leaseDuration {
+	case "":
 	case "off", "disabled":
-		return -1, nil
+		c.Engine.LeaseDuration = -1
+	default:
+		d, err := time.ParseDuration(leaseDuration)
+		if err != nil {
+			return fmt.Errorf("config: lease_duration: %v", err)
+		}
+		c.Engine.LeaseDuration = d
 	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("config: lease_duration: %v", err)
-	}
-	return d, nil
+	return nil
 }
 
 // LoadCluster parses a deployment description.
@@ -161,13 +160,9 @@ func ClusterFromFile(f *File) (*ClusterFile, error) {
 		Exclusive:  true,
 		ClientBind: f.Global("client_bind", ""),
 		DataDir:    f.Global("data_dir", ""),
-		SyncPolicy: f.Global("sync_policy", ""),
 	}
-	if v := f.Global("lease_duration", ""); v != "" {
-		var err error
-		if c.LeaseDuration, err = parseLeaseDuration(v); err != nil {
-			return nil, err
-		}
+	if err := c.parseEngine(f.Global("sync_policy", ""), f.Global("lease_duration", "")); err != nil {
+		return nil, err
 	}
 	if v := f.Global("sched_policy", ""); v != "" {
 		var err error
@@ -238,30 +233,23 @@ func ClusterFromFile(f *File) (*ClusterFile, error) {
 		if v := opts[0].Get("data_dir"); v != "" {
 			c.DataDir = v
 		}
-		if v := opts[0].Get("sync_policy"); v != "" {
-			c.SyncPolicy = v
-		}
-		if c.CheckpointEvery, err = opts[0].Uint("checkpoint_every", 0); err != nil {
+		if err := c.parseEngine(opts[0].Get("sync_policy"), opts[0].Get("lease_duration")); err != nil {
 			return nil, err
 		}
-		if c.CheckpointCompress, err = opts[0].Bool("checkpoint_compress", false); err != nil {
+		if c.Engine.CheckpointEvery, err = opts[0].Uint("checkpoint_every", 0); err != nil {
 			return nil, err
 		}
-		dmb, err := opts[0].Int("delta_max_bytes", 0)
-		if err != nil {
+		if c.Engine.CheckpointCompress, err = opts[0].Bool("checkpoint_compress", false); err != nil {
 			return nil, err
 		}
-		c.DeltaMaxBytes = dmb
+		if c.Engine.DeltaMaxBytes, err = opts[0].Int("delta_max_bytes", 0); err != nil {
+			return nil, err
+		}
 		ac, err := opts[0].Int("apply_concurrency", 0)
 		if err != nil {
 			return nil, err
 		}
-		c.ApplyConcurrency = int(ac)
-		if v := opts[0].Get("lease_duration"); v != "" {
-			if c.LeaseDuration, err = parseLeaseDuration(v); err != nil {
-				return nil, err
-			}
-		}
+		c.Engine.ApplyConcurrency = int(ac)
 		if v := opts[0].Get("shards"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 {

@@ -3,11 +3,14 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
+	"joshua/internal/wal"
 )
 
 const sample = `
@@ -246,6 +249,69 @@ sched_weight_fair = 7
 			if _, err := ClusterFromFile(f); err == nil {
 				t.Errorf("ClusterFromFile(%q) should fail", input)
 			}
+		}
+	}
+}
+
+func TestClusterEngineOptions(t *testing.T) {
+	head := "[head h]\ngcs=a\nclient=b\npbs=c\n"
+
+	parse := func(input string) *ClusterFile {
+		t.Helper()
+		f, err := Parse(strings.NewReader(input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ClusterFromFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	c := parse(head + `[options]
+sync_policy = always
+checkpoint_every = 256
+checkpoint_compress = true
+delta_max_bytes = -1
+apply_concurrency = 3
+lease_duration = 250ms
+`)
+	want := rsm.Config{
+		SyncPolicy:         wal.SyncAlways,
+		CheckpointEvery:    256,
+		CheckpointCompress: true,
+		DeltaMaxBytes:      -1,
+		ApplyConcurrency:   3,
+		LeaseDuration:      250 * time.Millisecond,
+	}
+	if !reflect.DeepEqual(c.Engine, want) {
+		t.Errorf("Engine = %+v, want %+v", c.Engine, want)
+	}
+	// Global spellings, and the [options] key overriding them.
+	if c := parse("sync_policy = none\nlease_duration = off\n" + head); c.Engine.SyncPolicy != wal.SyncNone || c.Engine.LeaseDuration != -1 {
+		t.Errorf("global sync_policy/lease_duration = %v/%v", c.Engine.SyncPolicy, c.Engine.LeaseDuration)
+	}
+	if c := parse("sync_policy = none\n" + head + "[options]\nsync_policy = always\n"); c.Engine.SyncPolicy != wal.SyncAlways {
+		t.Errorf("override sync_policy = %v", c.Engine.SyncPolicy)
+	}
+	// No keys: the zero engine config, whose fields select the engine
+	// defaults.
+	if c := parse(head); !reflect.DeepEqual(c.Engine, rsm.Config{}) {
+		t.Errorf("default Engine = %+v", c.Engine)
+	}
+	for _, input := range []string{
+		"sync_policy = sometimes\n" + head,
+		head + "[options]\nsync_policy = sometimes\n",
+		head + "[options]\nlease_duration = soon\n",
+		head + "[options]\ndelta_max_bytes = big\n",
+	} {
+		f, err := Parse(strings.NewReader(input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ClusterFromFile(f); err == nil {
+			t.Errorf("ClusterFromFile(%q) should fail", input)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func leaseRig(t testing.TB) (*Server, []byte) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for !s.Stats().LeaseHeld {
+	for !s.Replica().Stats().LeaseHeld {
 		if time.Now().After(deadline) {
 			t.Fatal("head never granted itself a lease")
 		}

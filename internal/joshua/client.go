@@ -499,11 +499,11 @@ func (c *Client) probe(s, i int) {
 
 // observeEpoch records a shard's batch-state version and reports
 // whether the response regressed below what this client already saw
-// (a lagging head answering after a fresher one).
+// (a lagging head answering after a fresher one). An untagged (zero)
+// epoch is a regression once the floor has moved: every head stamps
+// its reads with its state version, which is zero only before the
+// head has applied anything.
 func (c *Client) observeEpoch(s int, epoch uint64) (regressed bool) {
-	if epoch == 0 {
-		return false
-	}
 	hs := c.shards[s]
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -767,35 +767,32 @@ func (c *Client) statAllShards(ordered bool) ([]pbs.Job, error) {
 	return mergeJobs(lists), nil
 }
 
-// statShard fetches one shard's full listing, retrying past heads
+// statShard fetches one shard's full listing. An unordered listing
 // whose snapshot epoch regressed below what this client already saw
-// for the shard (at most one extra pass over the shard's heads).
+// for the shard (a lagging head answering after a fresher one) is
+// retried on the next head, for at most one extra pass over the
+// shard's heads; if every try regressed, the listing comes through
+// the shard's total order, which cannot answer below the floor.
 func (c *Client) statShard(s int, ordered bool) ([]pbs.Job, error) {
-	tries := 1
 	if !ordered {
-		tries += len(c.shards[s].addrs)
+		for t := 0; t <= len(c.shards[s].addrs); t++ {
+			resp, err := c.call(s, OpStatAll, cmdArgs{})
+			if err != nil {
+				return nil, err
+			}
+			if e := rpcErr(resp); e != nil {
+				return nil, e
+			}
+			if !c.observeEpoch(s, resp.Epoch) {
+				return resp.Jobs, nil
+			}
+		}
 	}
-	var resp *rpcResponse
-	var err error
-	for t := 0; t < tries; t++ {
-		if ordered {
-			resp, err = c.callOrdered(s, OpStatAll, cmdArgs{})
-		} else {
-			resp, err = c.call(s, OpStatAll, cmdArgs{})
-		}
-		if err != nil {
-			return nil, err
-		}
-		if e := rpcErr(resp); e != nil {
-			return nil, e
-		}
-		if !c.observeEpoch(s, resp.Epoch) {
-			break // fresh enough (or epoch untagged)
-		}
-		// A lagging head answered below an epoch we already observed:
-		// rotate to another head for a non-regressing snapshot.
+	resp, err := c.callOrdered(s, OpStatAll, cmdArgs{})
+	if err != nil {
+		return nil, err
 	}
-	return resp.Jobs, nil
+	return resp.Jobs, rpcErr(resp)
 }
 
 // mergeJobs interleaves per-shard listings into one deterministic

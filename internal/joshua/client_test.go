@@ -518,3 +518,53 @@ func TestClientDeadHeadStaysOutOfReadRotation(t *testing.T) {
 		}
 	}
 }
+
+func TestShardedStatAllNeverReturnsListingBelowEpochFloor(t *testing.T) {
+	// Every head answers the unordered listing from a snapshot older
+	// than the client's own acknowledged submit: a lagging one (epoch
+	// 3), or one that has applied nothing at all (epoch 0). After the
+	// regressed tries run out, StatAll must take the shard's ordered
+	// listing instead of handing back the last stale one.
+	for _, stale := range []uint64{3, 0} {
+		t.Run(fmt.Sprintf("epoch%d", stale), func(t *testing.T) {
+			const acked = 7
+			job := pbs.Job{ID: "1.cluster", Seq: 1}
+			ep := newScriptedEndpoint(func(_ transport.Addr, req *rpcRequest) *rpcResponse {
+				switch {
+				case req.Op == OpSubmit:
+					return &rpcResponse{OK: true, Jobs: []pbs.Job{job}, Epoch: acked}
+				case req.Op == OpStatAll && req.Ordered:
+					return &rpcResponse{OK: true, Jobs: []pbs.Job{job}, Epoch: acked}
+				case req.Op == OpStatAll:
+					return &rpcResponse{OK: true, Epoch: stale}
+				}
+				return &rpcResponse{OK: true}
+			})
+			cli, err := NewClient(ClientConfig{
+				Endpoint: ep,
+				Shards: [][]transport.Addr{
+					{"s0head0/joshua", "s0head1/joshua"},
+					{"s1head0/joshua", "s1head1/joshua"},
+				},
+				AttemptTimeout: 5 * time.Second,
+				RedeemAfter:    -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+
+			j, err := cli.Submit(pbs.SubmitRequest{Name: "acked", Hold: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs, err := cli.StatAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(jobs) != 1 || jobs[0].ID != j.ID {
+				t.Fatalf("StatAll after an acked submit = %v, want exactly %s", jobs, j.ID)
+			}
+		})
+	}
+}

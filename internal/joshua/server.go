@@ -29,60 +29,25 @@ package joshua
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"joshua/internal/codec"
 	"joshua/internal/gcs"
 	"joshua/internal/pbs"
 	"joshua/internal/rsm"
-	"joshua/internal/transport"
-	"joshua/internal/wal"
-)
-
-// OutputPolicy selects which head node relays command output back to
-// the client — the "distributed mutual exclusion to ensure that output
-// is delivered only once" of the paper. Both policies are
-// deterministic given the totally ordered command and view streams.
-type OutputPolicy int
-
-const (
-	// OriginReplies lets the head that intercepted the command answer
-	// the client. If that head dies before answering, the client's
-	// retry is served from the deduplication table by another head.
-	// This is the paper's structure: the JOSHUA server the control
-	// command connected to relays the output back.
-	OriginReplies OutputPolicy = iota
-	// LeaderReplies lets the lowest-ID member of the current view
-	// answer every command, regardless of which head intercepted it.
-	// An ablation: one hop more predictable, but concentrates reply
-	// traffic on one head.
-	LeaderReplies
 )
 
 // Config parameterizes a JOSHUA head-node server.
 type Config struct {
-	// Self is this head node's member identity (e.g. "head0").
-	Self gcs.MemberID
-	// GroupEndpoint carries group communication; the server owns it.
-	GroupEndpoint transport.Endpoint
-	// ClientEndpoint receives control-command RPCs; the server owns
-	// it.
-	ClientEndpoint transport.Endpoint
-	// Peers maps every potential head node to its group address.
-	Peers map[gcs.MemberID]transport.Addr
-
-	// Group formation: exactly one of InitialMembers (static
-	// bootstrap), Bootstrap (found a new group), or neither (join an
-	// existing group through Peers).
-	InitialMembers []gcs.MemberID
-	Bootstrap      bool
-
-	// PartitionPolicy is forwarded to the group layer. The default
-	// FailStop matches the paper's fail-stop model.
-	PartitionPolicy gcs.PartitionPolicy
+	// Engine configures the replication engine the head runs on:
+	// identity, endpoints, group formation, output policy, read and
+	// apply pools, durability and leases (see rsm.Config). StartServer
+	// overwrites Engine.Service, Engine.Classify, Engine.ReadCacheHits,
+	// Engine.RejectNotPrimary and Engine.RejectShutdown with the
+	// head's own PBS and lock services; every other field is passed
+	// through unchanged.
+	Engine rsm.Config
 
 	// Daemon is the local batch service (the TORQUE+Maui equivalent
 	// of this head node). Required.
@@ -98,9 +63,6 @@ type Config struct {
 	Shard  int
 	Shards int
 
-	// OutputPolicy defaults to OriginReplies.
-	OutputPolicy OutputPolicy
-
 	// OrderedCompletions routes mom completion reports through the
 	// total order instead of applying them directly at each head.
 	// The paper's design lets every head react to mom reports
@@ -113,80 +75,6 @@ type Config struct {
 	// be lifted in the future if deterministic allocation behavior
 	// can be assured".
 	OrderedCompletions bool
-
-	// DedupLimit bounds the client-request deduplication table.
-	// Default 4096 entries.
-	DedupLimit int
-
-	// ReadConcurrency sizes the replication engine's read-worker pool,
-	// which serves query commands (jstat, jnodes, jadmin) off the
-	// event loop. Zero selects the engine default (GOMAXPROCS);
-	// rsm.ReadOnLoop serves queries inline on the event loop,
-	// serialized with command application — the pre-concurrent
-	// behaviour, kept as an ablation.
-	ReadConcurrency int
-	// ReplyQueueLen bounds the engine's asynchronous reply queue; zero
-	// selects the engine default.
-	ReplyQueueLen int
-
-	// ApplyConcurrency sizes the engine's apply-worker pool and enables
-	// the pipelined write path: the WAL fsync of each event-loop round
-	// overlaps command execution, and commands on disjoint conflict
-	// domains (independent jobs) apply in parallel. Zero selects the
-	// engine default (GOMAXPROCS); rsm.ApplyOnLoop drops the worker
-	// pool and waits for each round's commit on the event loop after
-	// the round applies — the serial apply-then-blocking-commit
-	// ablation.
-	ApplyConcurrency int
-
-	// DataDir, when set, enables the replication engine's durability
-	// layer for this head: applied commands are written through a
-	// write-ahead log, the full state (batch service + lock table +
-	// dedup table) is checkpointed every CheckpointEvery commands, and
-	// a restart recovers locally before rejoining the group. Empty
-	// keeps the head purely in-memory.
-	DataDir string
-	// SyncPolicy selects the WAL fsync policy (always/interval/none);
-	// the default is wal.SyncInterval.
-	SyncPolicy wal.SyncPolicy
-	// SyncInterval is the fsync cadence under wal.SyncInterval; zero
-	// uses the wal default.
-	SyncInterval time.Duration
-	// CheckpointEvery is the applied-command cadence between
-	// checkpoints; zero selects the engine default.
-	CheckpointEvery uint64
-	// CheckpointBlocking writes each checkpoint (serialize and fsync)
-	// synchronously on the event loop. Kept as an ablation; the
-	// default forks the service state and checkpoints off-loop.
-	CheckpointBlocking bool
-	// CheckpointCompress enables flate (level 1) compression of
-	// checkpoint files.
-	CheckpointCompress bool
-	// DeltaMaxBytes caps the WAL-suffix (delta) state transfer size;
-	// larger gaps fall back to checkpoint+suffix or full snapshot
-	// transfer. Zero selects the engine default (64 MiB); negative
-	// means unlimited.
-	DeltaMaxBytes int64
-	// WALSegmentBytes overrides the log segment rotation size; zero
-	// uses the wal default.
-	WALSegmentBytes int64
-
-	// LeaseDuration controls sequencer-granted read leases: a head
-	// holding a live lease serves ordered (jstat -ordered) reads from
-	// local state instead of broadcasting them, falling back to the
-	// total order automatically whenever the lease is stale or a view
-	// change is in progress. Zero (the default) enables leasing with
-	// the group layer's default duration; negative disables it — the
-	// broadcast-ordered ablation. Forwarded to rsm.Config.
-	LeaseDuration time.Duration
-
-	// TuneGCS, when non-nil, may adjust group communication timings
-	// before the group process starts (tests and benchmarks shorten
-	// them).
-	TuneGCS func(*gcs.Config)
-
-	// Logger receives diagnostics; nil disables logging.
-	Logger *log.Logger
 }
 
 // Server is one JOSHUA head node: the PBS batch service and the
@@ -220,23 +108,6 @@ type statCache struct {
 	hits  atomic.Uint64
 }
 
-// Stats counts server activity.
-type Stats struct {
-	Intercepted     uint64 // client requests received
-	Applied         uint64 // replicated commands applied
-	Replied         uint64 // responses sent to clients
-	DedupHits       uint64 // retried requests answered from the table
-	LocalReads      uint64 // queries served outside the total order
-	ReadCacheHits   uint64 // reads answered from a cached snapshot/encoding
-	ReplyQueueDrops uint64 // responses dropped on a full reply queue
-	Views           uint64 // views installed
-
-	LeaseHeld        bool   // a read lease is currently live (gauge)
-	LeaseReads       uint64 // ordered reads served locally under a lease
-	LeaseFallbacks   uint64 // ordered reads broadcast for lack of a lease
-	LeaseRevocations uint64 // leases revoked by flush entry or view change
-}
-
 // Errors.
 var (
 	ErrNotPrimary = errors.New("joshua: head node not in primary component")
@@ -247,9 +118,6 @@ var (
 func StartServer(cfg Config) (*Server, error) {
 	if cfg.Daemon == nil {
 		return nil, errors.New("joshua: Config.Daemon required")
-	}
-	if cfg.ClientEndpoint == nil {
-		return nil, errors.New("joshua: Config.ClientEndpoint required")
 	}
 
 	s := &Server{
@@ -262,43 +130,20 @@ func StartServer(cfg Config) (*Server, error) {
 		Register(svcPBS, &pbsService{daemon: cfg.Daemon}).
 		Register(svcLocks, s.locks)
 
-	rep, err := rsm.Start(rsm.Config{
-		Self:               cfg.Self,
-		GroupEndpoint:      cfg.GroupEndpoint,
-		ClientEndpoint:     cfg.ClientEndpoint,
-		Peers:              cfg.Peers,
-		InitialMembers:     cfg.InitialMembers,
-		Bootstrap:          cfg.Bootstrap,
-		PartitionPolicy:    cfg.PartitionPolicy,
-		Service:            services,
-		Classify:           s.classify,
-		OutputPolicy:       rsm.OutputPolicy(cfg.OutputPolicy),
-		DedupLimit:         cfg.DedupLimit,
-		ReadConcurrency:    cfg.ReadConcurrency,
-		ReplyQueueLen:      cfg.ReplyQueueLen,
-		ApplyConcurrency:   cfg.ApplyConcurrency,
-		DataDir:            cfg.DataDir,
-		SyncPolicy:         cfg.SyncPolicy,
-		SyncInterval:       cfg.SyncInterval,
-		CheckpointEvery:    cfg.CheckpointEvery,
-		CheckpointBlocking: cfg.CheckpointBlocking,
-		CheckpointCompress: cfg.CheckpointCompress,
-		DeltaMaxBytes:      cfg.DeltaMaxBytes,
-		WALSegmentBytes:    cfg.WALSegmentBytes,
-		LeaseDuration:      cfg.LeaseDuration,
-		ReadCacheHits: func() uint64 {
-			hits, _ := cfg.Daemon.Server().ReadCacheStats()
-			return hits + s.stat.hits.Load()
-		},
-		RejectNotPrimary: func(reqID string) []byte {
-			return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: ErrNotPrimary.Error()}).encode()
-		},
-		RejectShutdown: func(reqID string) []byte {
-			return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: "head node shutting down"}).encode()
-		},
-		TuneGCS: cfg.TuneGCS,
-		Logger:  cfg.Logger,
-	})
+	eng := cfg.Engine
+	eng.Service = services
+	eng.Classify = s.classify
+	eng.ReadCacheHits = func() uint64 {
+		hits, _ := cfg.Daemon.Server().ReadCacheStats()
+		return hits + s.stat.hits.Load()
+	}
+	eng.RejectNotPrimary = func(reqID string) []byte {
+		return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: ErrNotPrimary.Error()}).encode()
+	}
+	eng.RejectShutdown = func(reqID string) []byte {
+		return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: "head node shutting down"}).encode()
+	}
+	rep, err := rsm.Start(eng)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +232,7 @@ func (s *Server) interceptDone(id pbs.JobID, exitCode int, output string) bool {
 func (s *Server) Ready() <-chan struct{} { return s.rep.Load().Ready() }
 
 // Self returns the head's member identity.
-func (s *Server) Self() gcs.MemberID { return s.cfg.Self }
+func (s *Server) Self() gcs.MemberID { return s.cfg.Engine.Self }
 
 // View returns the most recent group view.
 func (s *Server) View() gcs.View { return s.rep.Load().View() }
@@ -399,26 +244,6 @@ func (s *Server) Daemon() *pbs.Daemon { return s.daemon }
 // Replica returns the underlying replication engine (for inspection
 // in tests and status tooling).
 func (s *Server) Replica() *rsm.Replica { return s.rep.Load() }
-
-// Stats returns a snapshot of the server counters.
-func (s *Server) Stats() Stats {
-	st := s.rep.Load().Stats()
-	return Stats{
-		Intercepted:     st.Intercepted,
-		Applied:         st.Applied,
-		Replied:         st.Replied,
-		DedupHits:       st.DedupHits,
-		LocalReads:      st.LocalReads,
-		ReadCacheHits:   st.ReadCacheHits,
-		ReplyQueueDrops: st.ReplyQueueDrops,
-		Views:           st.Views,
-
-		LeaseHeld:        st.LeaseHeld,
-		LeaseReads:       st.LeaseReads,
-		LeaseFallbacks:   st.LeaseFallbacks,
-		LeaseRevocations: st.LeaseRevocations,
-	}
-}
 
 // Leave announces a voluntary departure (the paper handles it as a
 // forced failure) and shuts the head down.
@@ -543,7 +368,7 @@ func (s *Server) infoLocked() map[string]string {
 		// A read raced server startup (the replica serves before
 		// StartServer finishes); report the bare minimum. The client
 		// retries or the prober re-asks later.
-		return map[string]string{"head": string(s.cfg.Self), "mode": "starting"}
+		return map[string]string{"head": string(s.cfg.Engine.Self), "mode": "starting"}
 	}
 	waiting, running, completed := s.daemon.Server().QueueLengths()
 	st := rep.Stats()
@@ -554,7 +379,7 @@ func (s *Server) infoLocked() map[string]string {
 		shards = 1
 	}
 	info := map[string]string{
-		"head":               string(s.cfg.Self),
+		"head":               string(s.cfg.Engine.Self),
 		"mode":               "replicated",
 		"shard":              fmt.Sprintf("%d", s.cfg.Shard),
 		"shards":             fmt.Sprintf("%d", shards),
@@ -592,9 +417,9 @@ func (s *Server) infoLocked() map[string]string {
 		"gcs_retransmits":    fmt.Sprintf("%d", gst.Retransmits),
 		"gcs_views":          fmt.Sprintf("%d", gst.Views),
 	}
-	if s.cfg.DataDir != "" {
-		info["wal_dir"] = s.cfg.DataDir
-		info["wal_policy"] = s.cfg.SyncPolicy.String()
+	if eng := s.cfg.Engine; eng.DataDir != "" {
+		info["wal_dir"] = eng.DataDir
+		info["wal_policy"] = eng.SyncPolicy.String()
 		info["wal_appends"] = fmt.Sprintf("%d", st.WALAppends)
 		info["wal_fsyncs"] = fmt.Sprintf("%d", st.WALFsyncs)
 		info["wal_bytes"] = fmt.Sprintf("%d", st.WALBytes)

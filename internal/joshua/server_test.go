@@ -7,6 +7,7 @@ import (
 
 	"joshua/internal/gcs"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/simnet"
 	"joshua/internal/transport"
 )
@@ -41,16 +42,18 @@ func newRawRig(t testing.TB, heads int, mutate func(*Config)) *rawRig {
 			Moms:     map[string]transport.Addr{},
 		})
 		cfg := Config{
-			Self:           member(i),
-			GroupEndpoint:  groupEP,
-			ClientEndpoint: clientEP,
-			Peers:          peers,
-			InitialMembers: initial,
-			Daemon:         daemon,
-			TuneGCS: func(g *gcs.Config) {
-				g.Heartbeat = 10 * time.Millisecond
-				g.FailTimeout = 80 * time.Millisecond
+			Engine: rsm.Config{
+				Self:           member(i),
+				GroupEndpoint:  groupEP,
+				ClientEndpoint: clientEP,
+				Peers:          peers,
+				InitialMembers: initial,
+				TuneGCS: func(g *gcs.Config) {
+					g.Heartbeat = 10 * time.Millisecond
+					g.FailTimeout = 80 * time.Millisecond
+				},
 			},
+			Daemon: daemon,
 		}
 		if mutate != nil {
 			mutate(&cfg)
@@ -134,7 +137,7 @@ func TestDuplicateRequestExecutesOnce(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if hits := r.heads[0].Stats().DedupHits + r.heads[1].Stats().DedupHits; hits == 0 {
+	if hits := r.heads[0].Replica().Stats().DedupHits + r.heads[1].Replica().Stats().DedupHits; hits == 0 {
 		t.Error("expected at least one dedup hit")
 	}
 }
@@ -157,19 +160,19 @@ func TestDuplicateBroadcastAppliesOnce(t *testing.T) {
 	for {
 		n0 := len(r.heads[0].Daemon().StatusAll())
 		n1 := len(r.heads[1].Daemon().StatusAll())
-		if n0 == 1 && n1 == 1 && r.heads[0].Stats().Applied == 1 {
+		if n0 == 1 && n1 == 1 && r.heads[0].Replica().Stats().Applied == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job counts: head0=%d head1=%d applied=%d, want 1/1/1",
-				n0, n1, r.heads[0].Stats().Applied)
+				n0, n1, r.heads[0].Replica().Stats().Applied)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 func TestDedupEvictionIsBounded(t *testing.T) {
-	r := newRawRig(t, 1, func(c *Config) { c.DedupLimit = 4 })
+	r := newRawRig(t, 1, func(c *Config) { c.Engine.DedupLimit = 4 })
 	for i := 0; i < 10; i++ {
 		req := &rpcRequest{
 			ReqID: string(rune('a'+i)) + "#x",
@@ -204,7 +207,7 @@ func TestServerStatsProgress(t *testing.T) {
 	r := newRawRig(t, 1, nil)
 	req := &rpcRequest{ReqID: "user/raw#s", Op: OpSubmit, Args: cmdArgs{Hold: true}}
 	r.sendReq(t, 0, req, 5*time.Second)
-	st := r.heads[0].Stats()
+	st := r.heads[0].Replica().Stats()
 	if st.Intercepted != 1 || st.Applied != 1 || st.Replied != 1 || st.Views == 0 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -247,7 +250,7 @@ func TestStartServerValidation(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
 	ep, _ := net.Endpoint("h/x")
-	if _, err := StartServer(Config{ClientEndpoint: ep}); err == nil {
+	if _, err := StartServer(Config{Engine: rsm.Config{ClientEndpoint: ep}}); err == nil {
 		t.Error("missing Daemon should fail")
 	}
 	srv := pbs.NewServer(pbs.Config{ServerName: "c", Nodes: []string{"n"}})
